@@ -14,6 +14,7 @@ from .census import (
     FactorAutomaton,
     SpectralError,
     containing_count,
+    count_by_automaton,
     count_by_legality,
     count_by_rankings,
     density_report,

@@ -99,8 +99,15 @@ def _cmd_count(args) -> tuple[dict, int]:
         raise ValueError("count needs --n or --range")
     method = args.method
     if method == "auto":
-        method = "legality" if args.t**args.n <= census.enumeration_budget(5_000_000) else "rankings"
-    if method == "rankings":
+        if args.t <= 4:
+            method = "automaton"
+        elif args.t**args.n <= census.enumeration_budget(5_000_000):
+            method = "legality"
+        else:
+            method = "rankings"
+    if method == "automaton":
+        report = census.count_by_automaton(args.t, args.n)
+    elif method == "rankings":
         report = census.count_by_rankings(args.t, args.n)
     else:
         report = census.count_by_legality(args.t, args.n, jobs=args.jobs)
@@ -241,13 +248,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, *, t=True, jobs=False):
+    def add(name, help_text, *, t=True, jobs_help=None):
         p = sub.add_parser(name, help=help_text)
         if t:
             p.add_argument("--t", type=int, default=3, help="window size (default 3)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        if jobs:
-            p.add_argument("--jobs", type=int, default=None, help="worker processes (default: all cores)")
+        if jobs_help:
+            p.add_argument("--jobs", type=int, default=1, help=jobs_help)
         return p
 
     p = add("demodulate", "charge profile to base word")
@@ -264,10 +271,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", help="codeword digit string")
     p.add_argument("--base-word", dest="base_word", help="base word, comma-separated symbols")
 
-    p = add("count", "census of legal codewords", jobs=True)
+    p = add(
+        "count",
+        "census of legal codewords",
+        jobs_help="worker processes for per-word legality counting: --method legality, t >= 5 (default 1)",
+    )
     p.add_argument("--n", type=int, help="word length")
     p.add_argument("--range", help="length range lo:hi (inclusive)")
-    p.add_argument("--method", choices=("auto", "rankings", "legality"), default="auto")
+    p.add_argument("--method", choices=("auto", "automaton", "rankings", "legality"), default="auto")
     p.add_argument("--pattern", help="forcing pattern, comma-separated digits")
 
     p = add("spectral", "factor automaton and its growth rate")
@@ -282,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", help="digit sequence, comma-separated")
     p.add_argument("--max-len", dest="max_len", type=int, help="search all patterns up to this length")
 
-    p = add("gray", "exhaustive longest-cycle search", t=False, jobs=True)
+    p = add("gray", "exhaustive longest-cycle search", t=False, jobs_help="ignored: the search runs on one core")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--w", type=int, default=2)
     p.add_argument("--mode", choices=graycode.MODES, default="adjacent")

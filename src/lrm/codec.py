@@ -212,6 +212,17 @@ def _window_symbols(pi: Perm, digits: Sequence[int], t: int) -> tuple[list[int],
     return symbols, tuple(a + 1 for a in order)
 
 
+def _final_states(g: Sequence[int], t: int):
+    """(pi, state after the linear prefix) for every head order pi.
+
+    The linear prefix stops t-1 digits short of the end: those last digits
+    belong to the windows that wrap around into the head cells.
+    """
+    n = len(g)
+    for pi in st.head_permutations(t):
+        yield pi, st.chain(st.initial_state(g[: t - 1], t, pi), g[t - 1 : n - t + 1])
+
+
 def decode_general(word: Codeword) -> set[BaseWord]:
     """Every realizable base word that encodes to the codeword.
 
@@ -225,20 +236,18 @@ def decode_general(word: Codeword) -> set[BaseWord]:
     if n < 2 * t - 2:
         raise ValueError(f"state-chain decoding needs n >= 2t-2 = {2 * t - 2}, got {n}")
     tail = g[n - t + 1 :]
+    table = symbol_table(t)
     found = set()
-    for pi in st.head_permutations(t):
-        state = st.initial_state(g[: t - 1], t, pi)
-        state = st.chain(state, g[t - 1 : n - t + 1])
-        matching = [rel for rel in state.tuples if st.wrap_windows(pi, state.perm, rel)[0] == tail]
-        if not matching:
+    for pi, state in _final_states(g, t):
+        if tail not in st.achievable_tails(state, pi):
             continue
         symbols, trailing = _window_symbols(pi, g[: n - t + 1], t)
-        assert trailing == state.perm
-        table = symbol_table(t)
-        for rel in matching:
-            _, wrap_perms = st.wrap_windows(pi, state.perm, rel)
-            full = symbols + [table.symbol(p) for p in wrap_perms]
-            found.add(BaseWord(t, tuple(full)))
+        if trailing != state.perm:
+            raise RuntimeError(f"window symbols end in order {trailing}, the state chain in {state.perm}")
+        for rel in state.tuples:
+            wrap_digits, wrap_perms = st.wrap_windows(pi, state.perm, rel)
+            if wrap_digits == tail:
+                found.add(BaseWord(t, tuple(symbols + [table.symbol(p) for p in wrap_perms])))
     return found
 
 
@@ -264,12 +273,7 @@ def is_legal(word: Codeword) -> bool:
     if n < 2 * t - 2:
         return g in _legal_words_by_ranking(t, n)
     tail = g[n - t + 1 :]
-    for pi in st.head_permutations(t):
-        state = st.initial_state(g[: t - 1], t, pi)
-        state = st.chain(state, g[t - 1 : n - t + 1])
-        if tail in st.achievable_tails(state, pi):
-            return True
-    return False
+    return any(tail in st.achievable_tails(state, pi) for pi, state in _final_states(g, t))
 
 
 __all__ = [

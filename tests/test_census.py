@@ -7,6 +7,7 @@ from lrm.census import (
     FactorAutomaton,
     SpectralError,
     containing_count,
+    count_by_automaton,
     count_by_legality,
     count_by_rankings,
     density_report,
@@ -139,3 +140,38 @@ def test_parallel_count_matches_serial():
     serial = count_by_legality(3, 6, jobs=1).legal_count
     parallel = count_by_legality(3, 6, jobs=2).legal_count
     assert serial == parallel == 426
+
+
+def test_automaton_matches_legality_oracle():
+    for t, ns in [(2, range(2, 13)), (3, range(3, 11)), (4, range(4, 10))]:
+        for n in ns:
+            assert count_by_automaton(t, n).legal_count == count_by_legality(t, n).legal_count, (t, n)
+
+
+def test_automaton_matches_ranking_oracle():
+    for t in (3, 4):
+        for n in range(t, 9):
+            assert count_by_automaton(t, n).legal_count == count_by_rankings(t, n).legal_count, (t, n)
+
+
+def test_automaton_t2_closed_form_at_large_n():
+    for n in range(2, 301):
+        assert count_by_automaton(2, n).legal_count == 2**n - 2
+
+
+def test_automaton_lower_bound_at_large_n():
+    # one sweep over n = 6..200, exact integers throughout
+    reports = density_report(3, range(6, 201))
+    assert [r.n for r in reports] == list(range(6, 201))
+    for report in reports:
+        assert report.legal_count >= 9 * containing_count((2, 0, 1, 1), 3, report.n - 2)
+        assert report.bound_ok is True
+        assert report.total == 3**report.n
+    assert reports[-1].legal_count == count_by_automaton(3, 200).legal_count
+
+
+def test_automaton_guards():
+    with pytest.raises(ValueError):
+        count_by_automaton(5, 10)
+    with pytest.raises(ValueError):
+        count_by_automaton(3, 2)
