@@ -271,107 +271,65 @@ def count_by_legality(t: int, n: int, jobs: int = 1) -> CountReport:
     return CountReport(t=t, n=n, legal_count=legal, total=total, density=legal / total)
 
 
-class _HeadOrderAutomaton:
-    """Determinized chain automaton over the vector of head-conditioned states.
-
-    Under each head order pi the state after a digit prefix is a function
-    of the digits, so the vector ``(state_pi for pi in head_permutations(t))``
-    steps deterministically and a word is legal iff its tail lies in the
-    union of the vector's achievable tails.  Vectors are interned to ids on
-    first reach; transition rows and tail weights are filled in on first
-    use, so a census only builds the part of the automaton it walks.
-    """
-
-    def __init__(self, t: int):
-        self.t = t
-        self.heads = st.head_permutations(t)
-        self.ids: dict[tuple[st.State, ...], int] = {}
-        self.vectors: list[tuple[st.State, ...]] = []
-        self.rows: list[tuple[int, ...] | None] = []
-        self.weights: list[int | None] = []
-        # Path counts after the t-1 head digits, one per distinct start vector.
-        self.start: dict[int, int] = {}
-        for prefix in itertools.product(range(t), repeat=t - 1):
-            vid = self._intern(tuple(st.initial_state(prefix, t, pi) for pi in self.heads))
-            self.start[vid] = self.start.get(vid, 0) + 1
-
-    def _intern(self, vector: tuple[st.State, ...]) -> int:
-        vid = self.ids.get(vector)
-        if vid is None:
-            vid = self.ids[vector] = len(self.vectors)
-            self.vectors.append(vector)
-            self.rows.append(None)
-            self.weights.append(None)
-        return vid
-
-    def row(self, vid: int) -> tuple[int, ...]:
-        row = self.rows[vid]
-        if row is None:
-            vector = self.vectors[vid]
-            row = tuple(self._intern(tuple(st.successor(s, d) for s in vector)) for d in range(self.t))
-            self.rows[vid] = row
-        return row
-
-    def weight(self, vid: int) -> int:
-        """Distinct tails that close a word ending in this vector legally."""
-        weight = self.weights[vid]
-        if weight is None:
-            tails: set[tuple[int, ...]] = set()
-            for state, pi in zip(self.vectors[vid], self.heads):
-                tails |= st.achievable_tails(state, pi)
-            weight = self.weights[vid] = len(tails)
-        return weight
-
-    def step(self, counts: dict[int, int]) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for vid, count in counts.items():
-            for nxt in self.row(vid):
-                out[nxt] = out.get(nxt, 0) + count
-        return out
-
-    def accepted(self, counts: dict[int, int]) -> int:
-        return sum(count * self.weight(vid) for vid, count in counts.items())
+_Vector = tuple[st.State, ...]
 
 
 @lru_cache(maxsize=None)
-def _head_order_automaton(t: int) -> _HeadOrderAutomaton:
-    return _HeadOrderAutomaton(t)
+def _start_vectors(t: int) -> dict[_Vector, int]:
+    """Path counts after the t-1 head digits, one per distinct start vector.
 
-
-def _counts_by_automaton(t: int, ns: Sequence[int]) -> dict[int, int]:
-    """Legal-word counts for every length in ns, from one sweep of the automaton.
-
-    Words shorter than 2t-2 have overlapping head and tail cells, so they
-    go to the ranking oracle, as in ``is_legal``.
+    A vector holds the chain state under every head order pi; each state
+    is a function of the digits read, so vectors step deterministically.
     """
-    if not 2 <= t <= 4:
-        raise ValueError(f"the head-order automaton is kept enumerable for t in [2, 4], got {t}")
-    short = 2 * t - 2
-    ns = sorted(set(ns))
-    if ns and ns[0] < t:
-        raise ValueError(f"need n >= t, got n = {ns[0]}, t = {t}")
-    out = {n: count_by_rankings(t, n).legal_count for n in ns if n < short}
-    longs = [n for n in ns if n >= short]
-    if longs:
-        automaton = _head_order_automaton(t)
-        counts, depth = automaton.start, 0
-        for n in longs:
-            while depth < n - short:
-                counts = automaton.step(counts)
-                depth += 1
-            out[n] = automaton.accepted(counts)
-    return out
+    heads = st.head_permutations(t)
+    counts: dict[_Vector, int] = {}
+    for prefix in itertools.product(range(t), repeat=t - 1):
+        vector = tuple(st.initial_state(prefix, t, pi) for pi in heads)
+        counts[vector] = counts.get(vector, 0) + 1
+    return counts
+
+
+@lru_cache(maxsize=None)
+def _next_vectors(vector: _Vector) -> tuple[_Vector, ...]:
+    """The vector after each digit 0..t-1."""
+    return tuple(tuple(st.successor(s, d) for s in vector) for d in range(vector[0].t))
+
+
+@lru_cache(maxsize=None)
+def _tail_weight(vector: _Vector) -> int:
+    """Distinct tails that close a word ending in this vector legally."""
+    tails: set[tuple[int, ...]] = set()
+    for state, pi in zip(vector, st.head_permutations(vector[0].t)):
+        tails |= st.achievable_tails(state, pi)
+    return len(tails)
 
 
 def count_by_automaton(t: int, n: int) -> CountReport:
     """Count legal words by path counting through the head-order automaton.
 
-    Exact transfer-matrix count (Stanley, EC1 4.7): path counts from the
-    t^(t-1) head prefixes, stepped through the n-2t+2 middle digits and
-    weighted by each final vector's number of legal tails.  For t <= 4
-    only; at t = 5 the vector closure explodes.
+    Exact transfer-matrix count (Stanley, EC1 4.7) over the determinized
+    automaton whose vertex is the vector of head-conditioned chain states:
+    path counts from the t^(t-1) head prefixes, stepped through the n-2t+2
+    middle digits and weighted by each final vector's number of legal
+    tails.  Words shorter than 2t-2 have overlapping head and tail cells,
+    so they go to the ranking oracle, as in ``is_legal``.  For t <= 4 only;
+    at t = 5 the vector closure explodes.
     """
-    legal = _counts_by_automaton(t, [n])[n]
+    if not 2 <= t <= 4:
+        raise ValueError(f"the head-order automaton is kept enumerable for t in [2, 4], got {t}")
+    if n < t:
+        raise ValueError(f"need n >= t, got n = {n}, t = {t}")
+    if n < 2 * t - 2:
+        legal = count_by_rankings(t, n).legal_count
+    else:
+        counts = _start_vectors(t)
+        for _ in range(n - 2 * t + 2):
+            stepped: dict[_Vector, int] = {}
+            for vector, count in counts.items():
+                for nxt in _next_vectors(vector):
+                    stepped[nxt] = stepped.get(nxt, 0) + count
+            counts = stepped
+        legal = sum(count * _tail_weight(vector) for vector, count in counts.items())
     total = t**n
     return CountReport(t=t, n=n, legal_count=legal, total=total, density=legal / total)
 
@@ -384,8 +342,8 @@ def density_report(
     M' counts length n-t+1 prefixes containing the forcing pattern; each
     one closes into a complete state, whose tail sets cover every possible
     ending, so each contributes t^(t-1) legal words.  For t <= 4 the counts
-    come from one sweep of the head-order automaton; ``jobs`` only reaches
-    the per-word legality count used above that.
+    come from the head-order automaton; ``jobs`` only reaches the per-word
+    legality count used above that.
     """
     if pattern is None:
         pattern = DEFAULT_PATTERNS.get(t)
@@ -393,12 +351,10 @@ def density_report(
     if pattern is not None:
         pattern = tuple(pattern)
         growth = spectral_radius(factor_automaton(pattern, t).matrix)
-    by_automaton = _counts_by_automaton(t, n_range) if t <= 4 else None
     reports = []
     for n in n_range:
-        if by_automaton is not None:
-            legal = by_automaton[n]
-            report = CountReport(t=t, n=n, legal_count=legal, total=t**n, density=legal / t**n)
+        if t <= 4:
+            report = count_by_automaton(t, n)
         elif t**n <= enumeration_budget(_DEFAULT_WORD_BUDGET):
             report = count_by_legality(t, n, jobs=jobs)
         else:

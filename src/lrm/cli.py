@@ -278,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n", type=int, help="word length")
     p.add_argument("--range", help="length range lo:hi (inclusive)")
-    p.add_argument("--method", choices=("auto", "automaton", "rankings", "legality"), default="auto")
+    p.add_argument("--method", choices=("auto", "rankings", "legality"), default="auto")
     p.add_argument("--pattern", help="forcing pattern, comma-separated digits")
 
     p = add("spectral", "factor automaton and its growth rate")

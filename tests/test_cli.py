@@ -73,8 +73,6 @@ def test_count_json_and_csv(capsys):
     assert payload["method"] == "automaton"
     code, payload = run_json(capsys, "count", "--t", "3", "--n", "6", "--method", "legality")
     assert code == 0 and payload["legal_count"] == 426 and payload["method"] == "legality"
-    code, payload = run_json(capsys, "count", "--t", "5", "--n", "8", "--method", "automaton")
-    assert code == 2 and payload["ok"] is False
     code, out = run(capsys, "count", "--t", "3", "--range", "6:7", "--format", "csv")
     assert code == 0
     lines = out.strip().splitlines()
