@@ -16,10 +16,9 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import factorial, sqrt
+from operator import mul
 from typing import Sequence
-
-import numpy as np
 
 from . import states as st
 from .codec import Codeword, is_legal
@@ -33,6 +32,11 @@ DEFAULT_PATTERNS: dict[int, tuple[int, ...]] = {
 
 _DEFAULT_WORD_BUDGET = 5_000_000
 _DEFAULT_RANKING_BUDGET = factorial(10)
+
+# Power iteration: Rayleigh-quotient tolerance, iteration cap, cross-check steps.
+_TOL = 1e-10
+_MAX_ITER = 100_000
+_RATIO_STEPS = 60
 
 
 def enumeration_budget(default: int) -> int:
@@ -56,18 +60,19 @@ class FactorAutomaton:
     t: int
     matrix: tuple[tuple[int, ...], ...]
 
-    @property
-    def size(self) -> int:
-        return len(self.matrix)
-
     def avoiding_count(self, m: int) -> int:
         """Words of length m without the pattern as a factor (exact)."""
         if m < 0:
             raise ValueError(f"negative length: {m}")
-        vec = [1] + [0] * (self.size - 1)
+        vec = [1] + [0] * (len(self.matrix) - 1)
         for _ in range(m):
-            vec = [sum(vec[i] * self.matrix[i][j] for i in range(self.size)) for j in range(self.size)]
+            vec = _step(vec, self.matrix)
         return sum(vec)
+
+
+def _step(vec: Sequence, rows: Sequence[Sequence]) -> list:
+    """Row vector times matrix: entry j is the sum of vec[i] * rows[i][j]."""
+    return [sum(map(mul, vec, col)) for col in zip(*rows)]
 
 
 @lru_cache(maxsize=None)
@@ -113,52 +118,47 @@ class SpectralError(RuntimeError):
         self.fallback = fallback
 
 
-def _power_ratio(matrix: Sequence[Sequence[int]], m: int = 60) -> float:
-    """Growth ratio of total path counts after m steps, in exact integers."""
+def _power_ratio(matrix: Sequence[Sequence[float]]) -> float:
+    """Growth ratio of total path counts after _RATIO_STEPS steps, in exact integers."""
     rows = [[int(x) for x in row] for row in matrix]
-    size = len(rows)
-    vec = [1] * size
-    prev_total = size
-    total = size
-    for _ in range(m + 1):
-        prev_total = total
-        vec = [sum(vec[i] * rows[i][j] for i in range(size)) for j in range(size)]
-        total = sum(vec)
-    if prev_total == 0:
-        return 0.0
-    return total / prev_total
+    vec = [1] * len(rows)
+    for _ in range(_RATIO_STEPS):
+        vec = _step(vec, rows)
+    total = sum(vec)
+    return sum(_step(vec, rows)) / total if total else 0.0
 
 
-def spectral_radius(matrix: Sequence[Sequence[int]], tol: float = 1e-10, max_iter: int = 100_000) -> float:
+def spectral_radius(matrix: Sequence[Sequence[int]]) -> float:
     """Dominant eigenvalue of a nonnegative integer matrix by power iteration.
 
     Starts from the all-ones vector and stops when successive Rayleigh
-    quotients agree to ``tol``.  The result is cross-checked against the
-    exact path-count ratio after 60 steps; disagreement beyond 1e-3 or
-    running out of iterations raises, carrying the ratio as fallback.
+    quotients agree to _TOL.  The result is cross-checked against the exact
+    path-count ratio; disagreement beyond 1e-3 or running out of iterations
+    raises, carrying the ratio as fallback.
     """
-    A = np.asarray(matrix, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"need a square matrix, got shape {A.shape}")
-    if (A < 0).any():
+    try:
+        rows = [[float(x) for x in row] for row in matrix]
+    except TypeError:
+        raise ValueError("need a square matrix of numbers") from None
+    if not rows or any(len(row) != len(rows) for row in rows):
+        raise ValueError(f"need a square matrix, got row lengths {[len(row) for row in rows]}")
+    if any(x < 0 for row in rows for x in row):
         raise ValueError("matrix entries must be nonnegative")
-    x = np.ones(A.shape[0])
-    lam_prev = None
-    converged = False
-    for _ in range(max_iter):
-        y = A @ x
-        norm = float(np.linalg.norm(y))
+    cols = list(zip(*rows))  # _step(x, cols) is the column product A x
+    x = [1.0] * len(rows)
+    lam = None
+    for _ in range(_MAX_ITER):
+        y = _step(x, cols)
+        norm = sqrt(sum(map(mul, y, y)))
         if norm == 0.0:
             return 0.0  # nilpotent
-        x = y / norm
-        lam = float(x @ (A @ x))
-        if lam_prev is not None and abs(lam - lam_prev) < tol:
-            converged = True
+        x = [v / norm for v in y]
+        lam_prev, lam = lam, sum(map(mul, x, _step(x, cols)))
+        if lam_prev is not None and abs(lam - lam_prev) < _TOL:
             break
-        lam_prev = lam
-    ratio = _power_ratio(matrix)
-    if not converged:
-        raise SpectralError("power iteration did not converge", ratio)
+    else:
+        raise SpectralError("power iteration did not converge", _power_ratio(rows))
+    ratio = _power_ratio(rows)
     if abs(lam - ratio) > 1e-3:
         raise SpectralError(f"eigenvalue {lam!r} disagrees with path-count ratio", ratio)
     return lam
@@ -258,8 +258,6 @@ def count_by_legality(t: int, n: int, jobs: int = 1) -> CountReport:
         raise ValueError(f"{t}^{n} = {total} words exceed the enumeration budget {budget}")
     if n < t:
         raise ValueError(f"need n >= t, got n = {n}, t = {t}")
-    if jobs is None:
-        jobs = os.cpu_count() or 1
     jobs = max(1, min(jobs, total))
     if jobs == 1:
         legal = _legal_in_range(t, n, 0, total)
@@ -334,6 +332,22 @@ def count_by_automaton(t: int, n: int) -> CountReport:
     return CountReport(t=t, n=n, legal_count=legal, total=total, density=legal / total)
 
 
+def auto_method(t: int, n: int) -> str:
+    """Census engine for one length: automaton (t <= 4), legality (within the word budget), rankings."""
+    if t <= 4:
+        return "automaton"
+    if t**n <= enumeration_budget(_DEFAULT_WORD_BUDGET):
+        return "legality"
+    return "rankings"
+
+
+def count_by(method: str, t: int, n: int, jobs: int = 1) -> CountReport:
+    """Count legal words of length n with the named engine: automaton, legality or rankings."""
+    if method == "legality":
+        return count_by_legality(t, n, jobs=jobs)
+    return {"automaton": count_by_automaton, "rankings": count_by_rankings}[method](t, n)
+
+
 def density_report(
     t: int, n_range: Sequence[int], pattern: Sequence[int] | None = None, jobs: int = 1
 ) -> list[CountReport]:
@@ -343,7 +357,7 @@ def density_report(
     one closes into a complete state, whose tail sets cover every possible
     ending, so each contributes t^(t-1) legal words.  For t <= 4 the counts
     come from the head-order automaton; ``jobs`` only reaches the per-word
-    legality count used above that.
+    legality count used above that (see ``auto_method``).
     """
     if pattern is None:
         pattern = DEFAULT_PATTERNS.get(t)
@@ -353,12 +367,7 @@ def density_report(
         growth = spectral_radius(factor_automaton(pattern, t).matrix)
     reports = []
     for n in n_range:
-        if t <= 4:
-            report = count_by_automaton(t, n)
-        elif t**n <= enumeration_budget(_DEFAULT_WORD_BUDGET):
-            report = count_by_legality(t, n, jobs=jobs)
-        else:
-            report = count_by_rankings(t, n)
+        report = count_by(auto_method(t, n), t, n, jobs=jobs)
         if pattern is not None:
             report.m_prime = containing_count(pattern, t, n - t + 1)
             report.bound_ok = report.legal_count >= t ** (t - 1) * report.m_prime
@@ -372,7 +381,9 @@ __all__ = [
     "DEFAULT_PATTERNS",
     "FactorAutomaton",
     "SpectralError",
+    "auto_method",
     "containing_count",
+    "count_by",
     "count_by_automaton",
     "count_by_legality",
     "count_by_rankings",

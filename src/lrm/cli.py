@@ -85,32 +85,18 @@ def _cmd_check(args) -> tuple[dict, int]:
     return payload, 0 if ok else 1
 
 
-def _report_payload(reports: list[census.CountReport]) -> list[dict]:
-    return [r.to_json_dict() for r in reports]
-
-
 def _cmd_count(args) -> tuple[dict, int]:
     pattern = _parse_ints(args.pattern) if args.pattern else None
     if args.range is not None:
+        if args.method != "auto":
+            raise ValueError(f"--range picks the engine per length; it cannot take --method {args.method}")
         ns = _parse_range(args.range)
         reports = census.density_report(args.t, ns, pattern=pattern, jobs=args.jobs)
-        return {"reports": _report_payload(reports), "_csv": reports}, 0
+        return {"reports": [r.to_json_dict() for r in reports], "_csv": reports}, 0
     if args.n is None:
         raise ValueError("count needs --n or --range")
-    method = args.method
-    if method == "auto":
-        if args.t <= 4:
-            method = "automaton"
-        elif args.t**args.n <= census.enumeration_budget(5_000_000):
-            method = "legality"
-        else:
-            method = "rankings"
-    if method == "automaton":
-        report = census.count_by_automaton(args.t, args.n)
-    elif method == "rankings":
-        report = census.count_by_rankings(args.t, args.n)
-    else:
-        report = census.count_by_legality(args.t, args.n, jobs=args.jobs)
+    method = census.auto_method(args.t, args.n) if args.method == "auto" else args.method
+    report = census.count_by(method, args.t, args.n, jobs=args.jobs)
     payload = report.to_json_dict()
     payload["method"] = method
     if report.base_word_count is not None:

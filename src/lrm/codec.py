@@ -21,7 +21,7 @@ from math import factorial
 from typing import Sequence
 
 from . import states as st
-from .permutations import Perm, rank_to_permutation, symbol_table, window_digit
+from .permutations import MAX_WINDOW, MIN_WINDOW, Perm, rank_to_permutation, symbol_table, window_digit
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,8 @@ class Codeword:
     digits: tuple[int, ...]
 
     def __post_init__(self):
+        if not MIN_WINDOW <= self.t <= MAX_WINDOW:
+            raise ValueError(f"window size must be in [{MIN_WINDOW}, {MAX_WINDOW}], got {self.t}")
         if len(self.digits) < 1:
             raise ValueError("empty codeword")
         bad = [d for d in self.digits if not 0 <= d < self.t]
@@ -62,8 +64,6 @@ class Codeword:
 
     @classmethod
     def from_text(cls, text: str, t: int) -> "Codeword":
-        if t > 10:
-            raise ValueError("digit-string format needs single-character digits")
         return cls(t, tuple(int(ch) for ch in text))
 
     def to_text(self) -> str:

@@ -65,8 +65,9 @@ def test_spectral_radius_t4_pattern():
 
 
 def test_spectral_radius_guards():
-    with pytest.raises(ValueError):
-        spectral_radius([[1, 2, 3]])
+    for malformed in ([], [1, 2], [[1, 2], [3]], [[1, 2, 3]]):
+        with pytest.raises(ValueError):
+            spectral_radius(malformed)
     with pytest.raises(ValueError):
         spectral_radius([[-1]])
     assert spectral_radius([[0, 1], [0, 0]]) == 0.0  # nilpotent

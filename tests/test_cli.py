@@ -81,6 +81,24 @@ def test_count_json_and_csv(capsys):
     assert len(lines) == 3
 
 
+RANGE_6_7 = (
+    '{"command": "count", "t": 3, "ok": true, "reports": ['
+    '{"t": 3, "n": 6, "legal_count": 426, "total": 729, "density": 0.5843621399176955, '
+    '"m_prime": 1, "bound_ok": true, "growth_rate": 2.961499625507513}, '
+    '{"t": 3, "n": 7, "legal_count": 1512, "total": 2187, "density": 0.691358024691358, '
+    '"m_prime": 6, "bound_ok": true, "growth_rate": 2.961499625507513}]}\n'
+)
+
+
+def test_count_range_output_and_method_conflict(capsys):
+    assert run(capsys, "count", "--t", "3", "--range", "6:7") == (0, RANGE_6_7)
+    assert run(capsys, "count", "--t", "3", "--range", "6:7", "--method", "auto") == (0, RANGE_6_7)
+    # a range picks its engine per length, so an explicit engine is refused
+    code, payload = run_json(capsys, "count", "--t", "3", "--range", "6:7", "--method", "rankings")
+    assert code == 2 and payload["ok"] is False
+    assert "--range" in payload["error"] and "--method rankings" in payload["error"]
+
+
 def test_states_listing_and_chase(capsys):
     code, payload = run_json(capsys, "states", "--t", "3")
     assert code == 0
@@ -123,6 +141,8 @@ def test_domain_errors_exit_2(capsys):
     assert code == 2
     code, payload = run_json(capsys, "check", "--t", "3")
     assert code == 2
+    code, payload = run_json(capsys, "check", "--t", "1", "--word", "000")
+    assert code == 2 and payload["ok"] is False and "window size" in payload["error"]
 
 
 def test_usage_errors_exit_2():
@@ -140,3 +160,16 @@ def test_console_runs_are_byte_identical():
     second = subprocess.run(cmd, capture_output=True, text=True)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
+
+
+def test_runs_without_numpy():
+    # numpy blocked in a fresh interpreter: any import of it, lazy ones included, fails
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import lrm, lrm.cli\n"
+        "sys.exit(lrm.cli.main(['spectral', '--t', '3', '--pattern', '2,0,1,1']))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert abs(json.loads(result.stdout)["growth_rate"] - 2.9615) < 5e-4

@@ -150,5 +150,9 @@ def test_word_text_round_trip():
     assert base.to_text() == "3,4,6,3,2"
     with pytest.raises(ValueError):
         Codeword.from_text("03", 3)
+    for t in (1, 7):  # window sizes outside [2, 6], which the symbol table refuses too
+        with pytest.raises(ValueError):
+            Codeword.from_text("000", t)
+    assert Codeword.from_text("50", 6).to_text() == "50"
     with pytest.raises(ValueError):
         BaseWord.from_text("0,1", 3)
