@@ -3,7 +3,9 @@
 Every run prints a single JSON object (or CSV for tabular reports) on
 stdout.  Exit codes: 0 for success or a positive verdict, 1 for a computed
 negative verdict (illegal word, non-realizable base word, invalid cycle,
-non-forcing pattern), 2 for usage or input errors.
+non-forcing pattern), 2 for usage or input errors and for a growth rate
+whose power iteration fails its cross-check (the error names the
+path-count ratio fallback).
 """
 
 from __future__ import annotations
@@ -316,7 +318,7 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
     t = getattr(args, "t", 2)
     try:
         payload, code = handler(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, census.SpectralError) as exc:
         error = {"command": args.command, "t": t, "ok": False, "error": str(exc)}
         print(json.dumps(error))
         return 2

@@ -26,6 +26,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .permutations import Perm
@@ -35,27 +36,77 @@ RelTuple = tuple[int, ...]
 _ORACLE_MAX_CELLS = 10
 
 
-@dataclass(frozen=True)
-class State:
+class State(tuple):
     """Tracked order of the last t-1 cells plus their achievable head relations.
 
     ``perm`` lists tracked-cell block positions (1 = oldest) from the highest
-    charge down.  ``tuples`` holds relation tuples indexed by block position.
+    charge down.  The relation tuples (indexed by block position) are kept
+    as the bitmask ``mask``: bit i stands for the tuple whose base-t digits,
+    first entry most significant, spell i.  A state is the plain pair
+    ``(perm, mask)``, so hashing and equality run at tuple speed;
+    ``tuples`` is a derived ``frozenset`` view.
     """
 
-    perm: Perm
-    tuples: frozenset[RelTuple]
+    __slots__ = ()
+
+    def __new__(cls, perm: Perm, tuples: Iterable[RelTuple]) -> State:
+        perm = tuple(perm)
+        t = len(perm) + 1
+        if t < 2 or sorted(perm) != list(range(1, t)):
+            raise ValueError(f"tracked order must be a permutation of 1..t-1, got {perm}")
+        mask = 0
+        for tup in tuples:
+            if len(tup) != t - 1 or any(not 0 <= x < t for x in tup):
+                raise ValueError(f"relation tuples need t-1 = {t - 1} entries in 0..{t - 1}, got {tup}")
+            mask |= 1 << _tuple_index(tup, t)
+        return tuple.__new__(cls, (perm, mask))
+
+    perm = property(itemgetter(0))
+    mask = property(itemgetter(1))
 
     @property
     def t(self) -> int:
         return len(self.perm) + 1
 
+    @property
+    def tuples(self) -> frozenset[RelTuple]:
+        table = _all_tuples(self.t)
+        return frozenset(table[i] for i in _set_bits(self.mask))
+
+    def __reduce__(self):
+        return State, (self.perm, self.tuples)
+
+    def __repr__(self) -> str:
+        return f"State(perm={self.perm!r}, tuples={self.tuples!r})"
+
     def render(self) -> str:
-        body = ",".join("(" + ",".join(map(str, tup)) + ")" for tup in sorted(self.tuples))
+        table = _all_tuples(self.t)
+        body = ",".join("(" + ",".join(map(str, table[i])) + ")" for i in _set_bits(self.mask))
         return "([" + ",".join(map(str, self.perm)) + "], {" + body + "})"
 
     def __str__(self) -> str:
         return self.render()
+
+
+def _tuple_index(tup: RelTuple, t: int) -> int:
+    i = 0
+    for x in tup:
+        i = i * t + x
+    return i
+
+
+@lru_cache(maxsize=None)
+def _all_tuples(t: int) -> tuple[RelTuple, ...]:
+    """Every relation tuple of window size t, in bit-index order."""
+    return tuple(itertools.product(range(t), repeat=t - 1))
+
+
+def _set_bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def monotone_tuples(perm: Perm) -> frozenset[RelTuple]:
@@ -84,7 +135,7 @@ def monotone_tuples(perm: Perm) -> frozenset[RelTuple]:
 def is_complete(state: State) -> bool:
     """True when every monotone-consistent tuple is achievable."""
     t = state.t
-    return len(state.tuples) == comb(2 * t - 2, t - 1)
+    return state.mask.bit_count() == comb(2 * t - 2, t - 1)
 
 
 @lru_cache(maxsize=None)
@@ -99,33 +150,57 @@ def complete_states(t: int) -> frozenset[State]:
 
 
 @lru_cache(maxsize=None)
+def _rule(perm: Perm, digit: int) -> tuple[Perm, int | None, int | None, dict[int, int]]:
+    """The successor rule of one (order, digit) pair.
+
+    Returns the new order, the block positions of the new cell's window
+    neighbours above and below it (None when absent), and an empty memo
+    that ``successor`` fills with the image mask of each tuple index it meets.
+    """
+    t = len(perm) + 1
+    insert_at = (t - 1) - digit  # index in the descending window order
+    window = perm[:insert_at] + (t,) + perm[insert_at:]
+    above = window[insert_at - 1] if insert_at > 0 else None
+    below = window[insert_at + 1] if insert_at + 1 < len(window) else None
+    return tuple(lbl - 1 for lbl in window if lbl != 1), above, below, {}
+
+
+def _image(index: int, t: int, above: int | None, below: int | None) -> int:
+    """Mask of the tuples ``tail + (y,)`` for y between the neighbours' relations."""
+    lo = index // t ** (t - 1 - below) % t if below is not None else 0
+    hi = index // t ** (t - 1 - above) % t if above is not None else t - 1
+    if hi < lo:
+        return 0
+    tail = index % t ** (t - 2)
+    return ((1 << (hi - lo + 1)) - 1) << (tail * t + lo)
+
+
+@lru_cache(maxsize=None)
 def successor(state: State, digit: int) -> State:
     """Exact successor state after consuming one digit.
 
     The new cell enters the window with ``digit`` old cells below it; its
     head relation ranges between the relations of the window cells directly
     below and above it (0 and t-1 when absent).  The oldest cell drops out.
+    Each tuple maps to a run of tuples, one bit image per tuple index; the
+    successor's mask is the OR of the images of the state's set bits.
     """
-    t = state.t
+    perm, mask = state
+    t = len(perm) + 1
     if not 0 <= digit < t:
         raise ValueError(f"digit out of range 0..{t - 1}: {digit}")
-    insert_at = (t - 1) - digit  # index in the descending window order
-    window = list(state.perm[:insert_at]) + [t] + list(state.perm[insert_at:])
-
-    # Neighbours of the new cell in the full window order.
-    above = window[insert_at - 1] if insert_at > 0 else None
-    below = window[insert_at + 1] if insert_at + 1 < len(window) else None
-
-    new_perm = tuple(lbl - 1 for lbl in window if lbl != 1)
-
-    new_tuples = set()
-    for tup in state.tuples:
-        lo = tup[below - 1] if below is not None else 0
-        hi = tup[above - 1] if above is not None else t - 1
-        tail = tup[1:]
-        for y in range(lo, hi + 1):
-            new_tuples.add(tail + (y,))
-    return State(perm=new_perm, tuples=frozenset(new_tuples))
+    new_perm, above, below, images = _rule(perm, digit)
+    out = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        index = low.bit_length() - 1
+        try:
+            out |= images[index]
+        except KeyError:
+            image = images[index] = _image(index, t, above, below)
+            out |= image
+    return tuple.__new__(State, (new_perm, out))
 
 
 def chain(state: State, digits: Iterable[int]) -> State:

@@ -46,6 +46,15 @@ def test_spectral_reference(capsys):
     assert payload["matrix"] == [[2, 1, 0, 0], [1, 1, 1, 0], [1, 1, 0, 1], [1, 1, 0, 0]]
 
 
+def test_spectral_cross_check_failure_exits_2(capsys):
+    # words 1*0* grow polynomially, so the path-count ratio misses the eigenvalue 1
+    for argv in (("spectral", "--t", "2", "--pattern", "0,1"), ("count", "--t", "2", "--range", "4:5", "--pattern", "0,1")):
+        code, payload = run_json(capsys, *argv)
+        assert code == 2
+        assert payload["ok"] is False and payload["command"] == argv[0]
+        assert "ratio fallback 1.016" in payload["error"]
+
+
 def test_decode_reference(capsys):
     code, payload = run_json(capsys, "decode", "--t", "3", "--word", "22201")
     assert code == 0

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 from math import comb
 
 import pytest
@@ -175,6 +177,65 @@ def test_pattern_forces_complete_reference():
 def test_reachable_states_sizes():
     assert len(reachable_states(3)) == 32
     assert complete_states(3) <= reachable_states(3)
+    assert len(reachable_states(4)) == 768
+    assert len(reachable_states(5)) == 38_064
+
+
+def set_successor(state, digit):
+    """The successor rule on explicit tuple sets, one tuple at a time."""
+    t = state.t
+    insert_at = (t - 1) - digit
+    window = list(state.perm[:insert_at]) + [t] + list(state.perm[insert_at:])
+    above = window[insert_at - 1] if insert_at > 0 else None
+    below = window[insert_at + 1] if insert_at + 1 < len(window) else None
+    new_perm = tuple(lbl - 1 for lbl in window if lbl != 1)
+    new_tuples = set()
+    for tup in state.tuples:
+        lo = tup[below - 1] if below is not None else 0
+        hi = tup[above - 1] if above is not None else t - 1
+        for y in range(lo, hi + 1):
+            new_tuples.add(tup[1:] + (y,))
+    return new_perm, frozenset(new_tuples)
+
+
+@pytest.mark.parametrize("t", [3, 4])
+def test_bitmask_successor_matches_tuple_sets(t):
+    full = comb(2 * t - 2, t - 1)
+    for state in reachable_states(t):
+        assert is_complete(state) == (len(state.tuples) == full)
+        for digit in range(t):
+            image = successor(state, digit)
+            assert (image.perm, image.tuples) == set_successor(state, digit)
+
+
+def test_state_equality_follows_perm_and_tuples():
+    states = sorted(reachable_states(3), key=lambda s: (s.perm, sorted(s.tuples)))
+    for a in states:
+        rebuilt = State(a.perm, a.tuples)
+        assert rebuilt.tuples == a.tuples and rebuilt == a and hash(rebuilt) == hash(a)
+        for b in states:
+            assert (a == b) == ((a.perm, a.tuples) == (b.perm, b.tuples))
+    # a non-monotone tuple set still round-trips through the mask
+    odd = frozenset({(0, 1), (2, 0)})
+    assert State((1, 2), odd).tuples == odd
+
+
+def test_state_pickles_and_copies():
+    for state in (CHAIN_TOP, STATE1, *complete_states(4)):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(state, protocol)) == state
+        assert copy.copy(state) == state and copy.deepcopy(state) == state
+        assert type(copy.deepcopy(state)) is State
+    assert repr(CHAIN_TOP) == "State(perm=(2, 1), tuples=frozenset({(2, 2)}))"
+
+
+@pytest.mark.parametrize(
+    "perm, tuples",
+    [((1, 2), {(0,)}), ((1, 2), {(0, 0, 0)}), ((1, 2), {(0, 3)}), ((1, 2), {(-1, 0)}), ((1, 1), set()), ((), set())],
+)
+def test_state_rejects_malformed_input(perm, tuples):
+    with pytest.raises(ValueError):
+        State(perm=perm, tuples=frozenset(tuples))
 
 
 def test_find_completing_pattern_t3():
