@@ -36,7 +36,6 @@ from .graycode import (
     GrayCycle,
     GrayGraph,
     ValidationResult,
-    gray_adjacent,
     longest_cycle,
     validate_cycle,
     weight_words,

@@ -18,11 +18,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, sqrt
 from operator import mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import states as st
-from .codec import Codeword, is_legal
-from .permutations import symbol_table
+from .codec import Codeword, is_legal, ranking_words
 
 # Forcing factors whose occurrence guarantees a complete final state.
 DEFAULT_PATTERNS: dict[int, tuple[int, ...]] = {
@@ -197,35 +196,14 @@ class CountReport:
 def count_by_rankings(t: int, n: int) -> CountReport:
     """Count distinct codewords (and base words) over all n! cell rankings.
 
-    Every legal codeword arises from some ranking because realizability
-    witnesses are integral, so this is the ground-truth oracle at small n.
+    The ground-truth oracle at small n; see ``codec.ranking_words``.
     """
     budget = enumeration_budget(_DEFAULT_RANKING_BUDGET)
     if factorial(n) > budget:
         raise ValueError(f"{n}! rankings exceed the enumeration budget {budget}")
     if n < t:
         raise ValueError(f"need n >= t, got n = {n}, t = {t}")
-    table = symbol_table(t)
-    pair_idx = [(a, b) for a in range(t) for b in range(a + 1, t)]
-    sig_to_symbol = {}
-    for sym, perm in enumerate(table.perms, start=1):
-        value = [0] * t
-        for rank, pos in enumerate(perm):
-            value[pos - 1] = t - rank
-        sig_to_symbol[tuple(value[a] < value[b] for a, b in pair_idx)] = sym
-    codewords = set()
-    basewords = set()
-    for ranking in itertools.permutations(range(n)):
-        ext = ranking + ranking[: t - 1]
-        digits = []
-        symbols = []
-        for i in range(n):
-            w = ext[i : i + t]
-            symbols.append(sig_to_symbol[tuple(w[a] < w[b] for a, b in pair_idx)])
-            newest = w[-1]
-            digits.append(sum(1 for v in w[:-1] if v < newest))
-        codewords.add(tuple(digits))
-        basewords.add(tuple(symbols))
+    codewords, basewords = ranking_words(t, n)
     legal = len(codewords)
     return CountReport(
         t=t,
@@ -348,32 +326,38 @@ def count_by(method: str, t: int, n: int, jobs: int = 1) -> CountReport:
     return {"automaton": count_by_automaton, "rankings": count_by_rankings}[method](t, n)
 
 
-def density_report(
-    t: int, n_range: Sequence[int], pattern: Sequence[int] | None = None, jobs: int = 1
-) -> list[CountReport]:
-    """Census rows with the factor lower bound M >= t^(t-1) * M'.
+def add_bound(t: int, reports: Iterable[CountReport], pattern: Sequence[int]) -> list[CountReport]:
+    """Census rows with the factor lower bound M >= t^(t-1) * M' filled in.
 
     M' counts length n-t+1 prefixes containing the forcing pattern; each
     one closes into a complete state, whose tail sets cover every possible
-    ending, so each contributes t^(t-1) legal words.  For t <= 4 the counts
-    come from the head-order automaton; ``jobs`` only reaches the per-word
-    legality count used above that (see ``auto_method``).
+    ending, so each contributes t^(t-1) legal words.  The growth rate is
+    the avoidance automaton's dominant eigenvalue.  It is computed before
+    the first row is drawn, so lazy rows count nothing for a bad pattern.
+    """
+    pattern = tuple(pattern)
+    growth = spectral_radius(factor_automaton(pattern, t).matrix)
+    reports = list(reports)
+    for report in reports:
+        report.m_prime = containing_count(pattern, t, report.n - t + 1)
+        report.bound_ok = report.legal_count >= t ** (t - 1) * report.m_prime
+        report.growth_rate = growth
+    return reports
+
+
+def density_report(
+    t: int, n_range: Sequence[int], pattern: Sequence[int] | None = None, jobs: int = 1
+) -> list[CountReport]:
+    """Census rows with the factor lower bound (see ``add_bound``).
+
+    The pattern defaults to the forcing factor of ``DEFAULT_PATTERNS``.
+    For t <= 4 the counts come from the head-order automaton; ``jobs`` only
+    reaches the per-word legality count used above that (see ``auto_method``).
     """
     if pattern is None:
         pattern = DEFAULT_PATTERNS.get(t)
-    growth = None
-    if pattern is not None:
-        pattern = tuple(pattern)
-        growth = spectral_radius(factor_automaton(pattern, t).matrix)
-    reports = []
-    for n in n_range:
-        report = count_by(auto_method(t, n), t, n, jobs=jobs)
-        if pattern is not None:
-            report.m_prime = containing_count(pattern, t, n - t + 1)
-            report.bound_ok = report.legal_count >= t ** (t - 1) * report.m_prime
-            report.growth_rate = growth
-        reports.append(report)
-    return reports
+    reports = (count_by(auto_method(t, n), t, n, jobs=jobs) for n in n_range)
+    return list(reports) if pattern is None else add_bound(t, reports, pattern)
 
 
 __all__ = [
@@ -381,6 +365,7 @@ __all__ = [
     "DEFAULT_PATTERNS",
     "FactorAutomaton",
     "SpectralError",
+    "add_bound",
     "auto_method",
     "containing_count",
     "count_by",

@@ -99,6 +99,8 @@ def _cmd_count(args) -> tuple[dict, int]:
         raise ValueError("count needs --n or --range")
     method = census.auto_method(args.t, args.n) if args.method == "auto" else args.method
     report = census.count_by(method, args.t, args.n, jobs=args.jobs)
+    if pattern is not None:
+        census.add_bound(args.t, [report], pattern)
     payload = report.to_json_dict()
     payload["method"] = method
     if report.base_word_count is not None:

@@ -194,24 +194,6 @@ def decode3(word: Codeword) -> BaseWord | None:
 # General decoding via the state chain ----------------------------------------
 
 
-def _window_symbols(pi: Perm, digits: Sequence[int], t: int) -> tuple[list[int], Perm]:
-    """Symbols of windows 0..len(digits)-1 given the head order.
-
-    Tracks the descending order of the t-1 trailing cells by age (0 =
-    oldest); digit d slots the new cell above exactly d of them.  Returns
-    the symbols and the final trailing order as block positions.
-    """
-    table = symbol_table(t)
-    order = [p - 1 for p in pi]  # ages, highest charge first
-    symbols = []
-    for d in digits:
-        idx = (t - 1) - d
-        window = order[:idx] + [t - 1] + order[idx:]
-        symbols.append(table.symbol(tuple(a + 1 for a in window)))
-        order = [a - 1 for a in window if a != 0]
-    return symbols, tuple(a + 1 for a in order)
-
-
 def _final_states(g: Sequence[int], t: int):
     """(pi, state after the linear prefix) for every head order pi.
 
@@ -226,10 +208,10 @@ def _final_states(g: Sequence[int], t: int):
 def decode_general(word: Codeword) -> set[BaseWord]:
     """Every realizable base word that encodes to the codeword.
 
-    Runs the head-conditioned state chain over the linear prefix, then
-    keeps the relation tuples whose cycle-closing wrap digits match the
-    word's tail.  Each surviving tuple pins the merged order of head and
-    tail cells and with it the remaining symbols.
+    Runs the head-conditioned state chain over the linear prefix and keeps
+    the head orders pi whose final state admits the word's tail.  Under pi
+    the digits alone fix every window, the t-1 cycle-closing ones included,
+    so each kept pi gives one base word: at most (t-1)! of them.
     """
     t, g = word.t, word.digits
     n = len(g)
@@ -237,27 +219,47 @@ def decode_general(word: Codeword) -> set[BaseWord]:
         raise ValueError(f"state-chain decoding needs n >= 2t-2 = {2 * t - 2}, got {n}")
     tail = g[n - t + 1 :]
     table = symbol_table(t)
-    found = set()
-    for pi, state in _final_states(g, t):
-        if tail not in st.achievable_tails(state, pi):
-            continue
-        symbols, trailing = _window_symbols(pi, g[: n - t + 1], t)
-        if trailing != state.perm:
-            raise RuntimeError(f"window symbols end in order {trailing}, the state chain in {state.perm}")
-        for rel in state.tuples:
-            wrap_digits, wrap_perms = st.wrap_windows(pi, state.perm, rel)
-            if wrap_digits == tail:
-                found.add(BaseWord(t, tuple(symbols + [table.symbol(p) for p in wrap_perms])))
-    return found
+    return {
+        BaseWord(t, tuple(map(table.symbol, st.windows(pi, g))))
+        for pi, state in _final_states(g, t)
+        if tail in st.achievable_tails(state, pi)
+    }
+
+
+def ranking_words(t: int, n: int) -> tuple[set[tuple[int, ...]], set[tuple[int, ...]]]:
+    """Distinct codewords and base words over all n! rankings of n cells.
+
+    Every legal codeword arises from some ranking because realizability
+    witnesses are integral, so this is the ground truth at small n.  Each
+    window is read by its pairwise comparisons, looked up as a symbol.
+    """
+    table = symbol_table(t)
+    pairs = list(itertools.combinations(range(t), 2))
+    sig_to_symbol = {}
+    for sym, perm in enumerate(table.perms, start=1):
+        value = [0] * t
+        for rank, pos in enumerate(perm):
+            value[pos - 1] = t - rank
+        sig_to_symbol[tuple(value[a] < value[b] for a, b in pairs)] = sym
+    codewords = set()
+    basewords = set()
+    for ranking in itertools.permutations(range(n)):
+        ext = ranking + ranking[: t - 1]
+        digits = []
+        symbols = []
+        for i in range(n):
+            w = ext[i : i + t]
+            symbols.append(sig_to_symbol[tuple(w[a] < w[b] for a, b in pairs)])
+            newest = w[-1]
+            digits.append(sum(1 for v in w[:-1] if v < newest))
+        codewords.add(tuple(digits))
+        basewords.add(tuple(symbols))
+    return codewords, basewords
 
 
 @lru_cache(maxsize=None)
-def _legal_words_by_ranking(t: int, n: int) -> frozenset[tuple[int, ...]]:
-    """Legal digit words of short lengths, by enumerating all cell rankings."""
-    out = set()
-    for ranking in itertools.permutations(range(n)):
-        out.add(encode(demodulate(ranking, t)).digits)
-    return frozenset(out)
+def _short_legal_words(t: int, n: int) -> frozenset[tuple[int, ...]]:
+    return frozenset(ranking_words(t, n)[0])
 
 
 def is_legal(word: Codeword) -> bool:
@@ -271,7 +273,7 @@ def is_legal(word: Codeword) -> bool:
     if n < t:
         raise ValueError(f"need at least t = {t} digits, got {n}")
     if n < 2 * t - 2:
-        return g in _legal_words_by_ranking(t, n)
+        return g in _short_legal_words(t, n)
     tail = g[n - t + 1 :]
     return any(tail in st.achievable_tails(state, pi) for pi, state in _final_states(g, t))
 
@@ -285,6 +287,7 @@ __all__ = [
     "demodulate",
     "encode",
     "is_legal",
+    "ranking_words",
     "realizable",
     "window_consistent",
 ]

@@ -4,9 +4,8 @@ With windows of size two a codeword is binary and a push on cell i flips
 the digit pair (i-1, i) from 01 to 10, preserving weight.  A Gray-code
 step is therefore directed: the next word must arise from the previous one
 by a single 01 -> 10 change, and a cyclic code closes from its last word
-back to its first the same way.  ``gray_adjacent`` is the symmetric
-one-move-apart predicate; ``push_step`` is the directed step relation that
-cycles must follow.
+back to its first the same way.  ``push_step`` is that directed step
+relation.
 
 The default mode reads the changed pair cyclically and requires it to be
 cyclically adjacent, matching what one push can touch.  Mode "any" relaxes
@@ -76,58 +75,21 @@ def push_step(u: str, v: str, mode: str = "adjacent") -> bool:
     return False
 
 
-def gray_adjacent(u: str, v: str, mode: str = "adjacent") -> bool:
-    """Whether one weight-preserving 01 -> 10 move maps either word to the other.
-
-    The symmetric companion of ``push_step``: equal-weight words differing
-    in exactly two (default: cyclically adjacent) positions always swap a 0
-    with a 1, one direction of which is the valid step.
-    """
-    if mode not in MODES:
-        raise ValueError(f"unknown adjacency mode: {mode!r}")
-    _check_pair(u, v)
-    diffs = [i for i in range(len(u)) if u[i] != v[i]]
-    if len(diffs) != 2:
-        return False
-    if mode == "any":
-        return True
-    p, q = diffs
-    n = len(u)
-    return q == p + 1 or (p == 0 and q == n - 1)
-
-
 @dataclass(frozen=True)
 class GrayGraph:
-    """All weight-w words of length n, with edges and directed steps."""
+    """All weight-w words of length n, with their directed push steps."""
 
     n: int
     w: int
     mode: str
     vertices: tuple[str, ...]
-    adjacency: dict[str, tuple[str, ...]]
     successors: dict[str, tuple[str, ...]]
 
     @classmethod
     def build(cls, n: int, w: int, mode: str = "adjacent") -> "GrayGraph":
         vertices = tuple(weight_words(n, w))
-        neighbours: dict[str, list[str]] = {u: [] for u in vertices}
-        succ: dict[str, list[str]] = {u: [] for u in vertices}
-        for u, v in itertools.combinations(vertices, 2):
-            if gray_adjacent(u, v, mode):
-                neighbours[u].append(v)
-                neighbours[v].append(u)
-            if push_step(u, v, mode):
-                succ[u].append(v)
-            if push_step(v, u, mode):
-                succ[v].append(u)
-        return cls(
-            n=n,
-            w=w,
-            mode=mode,
-            vertices=vertices,
-            adjacency={u: tuple(sorted(vs)) for u, vs in neighbours.items()},
-            successors={u: tuple(sorted(vs)) for u, vs in succ.items()},
-        )
+        succ = {u: tuple(v for v in vertices if push_step(u, v, mode)) for u in vertices}
+        return cls(n=n, w=w, mode=mode, vertices=vertices, successors=succ)
 
 
 @dataclass(frozen=True)
@@ -255,33 +217,12 @@ def validate_cycle(words: Sequence[str], n: int, w: int, mode: str = "adjacent")
     return ValidationResult(True)
 
 
-def push_move_positions(u: str, v: str) -> list[int]:
-    """Cells whose push maps the digit word u to v (t = 2 convention).
-
-    A push on cell i rewrites digits (i-1, i) to (1, 0); it moves u to v
-    exactly when u had (0, 1) there and the words agree elsewhere.
-    """
-    _check_pair(u, v)
-    n = len(u)
-    cells = []
-    for i in range(n):
-        j = (i - 1) % n
-        if u[j] + u[i] == "01" and v[j] + v[i] == "10":
-            rest_u = [u[k] for k in range(n) if k not in (i, j)]
-            rest_v = [v[k] for k in range(n) if k not in (i, j)]
-            if rest_u == rest_v:
-                cells.append(i)
-    return cells
-
-
 __all__ = [
     "GrayCycle",
     "GrayGraph",
     "MODES",
     "ValidationResult",
-    "gray_adjacent",
     "longest_cycle",
-    "push_move_positions",
     "push_step",
     "validate_cycle",
     "weight_words",

@@ -116,20 +116,11 @@ def monotone_tuples(perm: Perm) -> frozenset[RelTuple]:
     must be >= b's.  Exactly C(2t-2, t-1) tuples qualify.
     """
     t = len(perm) + 1
-    out = []
-    for tup in itertools.product(range(t), repeat=t - 1):
-        ok = True
-        for hi_idx in range(t - 1):
-            for lo_idx in range(hi_idx + 1, t - 1):
-                # perm[hi_idx] is above perm[lo_idx]
-                if tup[perm[hi_idx] - 1] < tup[perm[lo_idx] - 1]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(tup)
-    return frozenset(out)
+    return frozenset(
+        tup
+        for tup in itertools.product(range(t), repeat=t - 1)
+        if all(tup[hi - 1] >= tup[lo - 1] for hi, lo in itertools.combinations(perm, 2))
+    )
 
 
 def is_complete(state: State) -> bool:
@@ -150,19 +141,20 @@ def complete_states(t: int) -> frozenset[State]:
 
 
 @lru_cache(maxsize=None)
-def _rule(perm: Perm, digit: int) -> tuple[Perm, int | None, int | None, dict[int, int]]:
+def _rule(perm: Perm, digit: int) -> tuple[Perm, Perm, int | None, int | None, dict[int, int]]:
     """The successor rule of one (order, digit) pair.
 
-    Returns the new order, the block positions of the new cell's window
-    neighbours above and below it (None when absent), and an empty memo
-    that ``successor`` fills with the image mask of each tuple index it meets.
+    Returns the window permutation the digit reads, the new order, the
+    block positions of the new cell's window neighbours above and below it
+    (None when absent), and an empty memo that ``successor`` fills with the
+    image mask of each tuple index it meets.
     """
     t = len(perm) + 1
     insert_at = (t - 1) - digit  # index in the descending window order
     window = perm[:insert_at] + (t,) + perm[insert_at:]
     above = window[insert_at - 1] if insert_at > 0 else None
     below = window[insert_at + 1] if insert_at + 1 < len(window) else None
-    return tuple(lbl - 1 for lbl in window if lbl != 1), above, below, {}
+    return window, tuple(lbl - 1 for lbl in window if lbl != 1), above, below, {}
 
 
 def _image(index: int, t: int, above: int | None, below: int | None) -> int:
@@ -189,7 +181,7 @@ def successor(state: State, digit: int) -> State:
     t = len(perm) + 1
     if not 0 <= digit < t:
         raise ValueError(f"digit out of range 0..{t - 1}: {digit}")
-    new_perm, above, below, images = _rule(perm, digit)
+    _, new_perm, above, below, images = _rule(perm, digit)
     out = 0
     while mask:
         low = mask & -mask
@@ -207,6 +199,17 @@ def chain(state: State, digits: Iterable[int]) -> State:
     for d in digits:
         state = successor(state, d)
     return state
+
+
+def windows(pi: Perm, digits: Iterable[int]) -> Iterator[Perm]:
+    """Window permutations of a digit run read from the tracked order ``pi``.
+
+    Each window is the tracked order with the new cell slotted in above
+    ``digit`` of its cells, so the order and the digits fix every window.
+    """
+    for d in digits:
+        window, pi = _rule(pi, d)[:2]
+        yield window
 
 
 def _consistent_orders(
@@ -280,7 +283,7 @@ def state_oracle(digits: Sequence[int], t: int, pi: Perm | None = None) -> State
     Independent of the successor rule: every relative order of the cells is
     built directly and projected onto (tracked order, relation set).  With
     no ``pi`` the prefix must pin the tracked order on its own; prefixes
-    that leave it open raise, use ``state_oracle_set`` for those.
+    that leave it open raise; ``initial_states`` lists every alternative.
     """
     groups = _oracle_groups(digits, t, pi)
     if not groups:
@@ -292,11 +295,6 @@ def state_oracle(digits: Sequence[int], t: int, pi: Perm | None = None) -> State
         )
     ((perm, rels),) = groups.items()
     return State(perm=perm, tuples=frozenset(rels))
-
-
-def state_oracle_set(digits: Sequence[int], t: int) -> frozenset[State]:
-    groups = _oracle_groups(digits, t, None)
-    return frozenset(State(perm=p, tuples=frozenset(r)) for p, r in groups.items())
 
 
 @lru_cache(maxsize=None)
@@ -314,7 +312,8 @@ def initial_state(digits: Sequence[int], t: int, pi: Perm | None = None) -> Stat
 
 @lru_cache(maxsize=None)
 def _initial_set_cached(digits: tuple[int, ...], t: int) -> frozenset[State]:
-    return state_oracle_set(digits, t)
+    groups = _oracle_groups(digits, t, None)
+    return frozenset(State(perm=p, tuples=frozenset(r)) for p, r in groups.items())
 
 
 def initial_states(digits: Sequence[int], t: int) -> frozenset[State]:
@@ -385,53 +384,30 @@ def find_completing_pattern(t: int, max_len: int) -> set[tuple[int, ...]]:
     return found
 
 
-# Merging the tracked tail cells with the head cells -------------------------
-#
-# At the end of a word the tracked cells are the last t-1 ones.  A relation
-# tuple, the tracked order, and a head order pi pin the merged order of all
-# 2t-2 cells: a tracked cell with relation value x sits above exactly the x
-# lowest head cells, and tracked cells sharing a value keep their mutual
-# order.  The merged order yields the t-1 wrap windows that close the cycle.
+def wrap_digits(pi: Perm, rel: RelTuple) -> tuple[int, ...]:
+    """Digits of the t-1 cycle-closing windows under a head order.
 
-Token = tuple[str, int]
-
-
-def merged_ascending(pi: Perm, tail_perm: Perm, rel: RelTuple) -> list[Token]:
-    t = len(pi) + 1
-    head_asc = [("head", k) for k in reversed(pi)]
-    tail_asc = [("tail", j) for j in reversed(tail_perm)]
-    out: list[Token] = []
-    for band in range(t):
-        out.extend(tok for tok in tail_asc if rel[tok[1] - 1] == band)
-        if band < t - 1:
-            out.append(head_asc[band])
-    return out
-
-
-def wrap_windows(pi: Perm, tail_perm: Perm, rel: RelTuple) -> tuple[tuple[int, ...], tuple[Perm, ...]]:
-    """Digits and window permutations of the t-1 cycle-closing windows.
-
-    Window k (1-based) spans tail block positions k..t-1 followed by head
-    block positions 1..k; its newest cell is head cell k.
+    Window k (1-based) holds tail block positions k..t-1 and head cells
+    1..k, head cell k newest.  With ``below[h]`` the number of head cells
+    under head cell h, a tail cell of relation value x sits below head cell
+    k exactly when x <= below[k], since it sits above the x lowest head
+    cells.  So digit k counts the older head cells below head cell k plus
+    the tail cells with x <= below[k], and the tail order never enters.
     """
     t = len(pi) + 1
-    merged = merged_ascending(pi, tail_perm, rel)
-    rank = {tok: r for r, tok in enumerate(merged)}
-    digits = []
-    perms = []
-    for k in range(1, t):
-        cells: list[Token] = [("tail", j) for j in range(k, t)] + [("head", m) for m in range(1, k + 1)]
-        newest = ("head", k)
-        digits.append(sum(1 for c in cells if c != newest and rank[c] < rank[newest]))
-        desc = tuple(sorted(range(1, t + 1), key=lambda lbl: -rank[cells[lbl - 1]]))
-        perms.append(desc)
-    return tuple(digits), tuple(perms)
+    below = [0] * t
+    for rank, h in enumerate(pi):
+        below[h] = t - 2 - rank
+    return tuple(
+        sum(below[m] < below[k] for m in range(1, k)) + sum(x <= below[k] for x in rel[k - 1 :])
+        for k in range(1, t)
+    )
 
 
 @lru_cache(maxsize=None)
 def achievable_tails(state: State, pi: Perm) -> frozenset[tuple[int, ...]]:
     """Distinct wrap-digit tails a final state admits under a head order."""
-    return frozenset(wrap_windows(pi, state.perm, rel)[0] for rel in state.tuples)
+    return frozenset(wrap_digits(pi, rel) for rel in state.tuples)
 
 
 @dataclass(frozen=True)
@@ -443,12 +419,6 @@ class TailTable:
 
     def count(self, state: State, pi: Perm) -> int:
         return len(self.tails[(state, pi)])
-
-    def row_sum(self, state: State) -> int:
-        return sum(len(v) for (s, _), v in self.tails.items() if s == state)
-
-    def column_sum(self, pi: Perm) -> int:
-        return sum(len(v) for (_, p), v in self.tails.items() if p == pi)
 
 
 def tail_table(t: int) -> TailTable:
@@ -477,13 +447,12 @@ __all__ = [
     "initial_state",
     "initial_states",
     "is_complete",
-    "merged_ascending",
     "monotone_tuples",
     "pattern_forces_complete",
     "reachable_states",
     "state_oracle",
-    "state_oracle_set",
     "successor",
     "tail_table",
-    "wrap_windows",
+    "windows",
+    "wrap_digits",
 ]

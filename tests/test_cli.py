@@ -1,10 +1,14 @@
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from lrm.cli import dispatch
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def run(capsys, *argv):
@@ -108,6 +112,17 @@ def test_count_range_output_and_method_conflict(capsys):
     assert "--range" in payload["error"] and "--method rankings" in payload["error"]
 
 
+def test_count_one_length_takes_the_pattern_bound(capsys):
+    code, payload = run_json(capsys, "count", "--t", "3", "--n", "8", "--pattern", "2,0,1,1")
+    assert code == 0
+    assert (payload["m_prime"], payload["bound_ok"], payload["growth_rate"]) == (27, True, 2.961499625507513)
+    _, ranged = run_json(capsys, "count", "--t", "3", "--range", "8:8", "--pattern", "2,0,1,1")
+    assert {k: payload[k] for k in ranged["reports"][0]} == ranged["reports"][0]
+    # the avoidance matrix of 0,1 fails its cross-check, on one length as on a range
+    code, payload = run_json(capsys, "count", "--t", "2", "--n", "5", "--pattern", "0,1")
+    assert code == 2 and payload["ok"] is False and "ratio fallback 1.016" in payload["error"]
+
+
 def test_states_listing_and_chase(capsys):
     code, payload = run_json(capsys, "states", "--t", "3")
     assert code == 0
@@ -182,3 +197,14 @@ def test_runs_without_numpy():
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert abs(json.loads(result.stdout)["growth_rate"] - 2.9615) < 5e-4
+
+
+def test_readme_commands_run():
+    spec = importlib.util.spec_from_file_location("readme_commands", SCRIPTS / "readme_commands.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    commands = script.readme_commands()
+    assert len(commands) >= 10
+    # 0 or a computed negative verdict; 2 would mean a usage error such as a removed flag
+    for argv, code, stdout in script.run_commands(commands):
+        assert code in (0, 1), (argv, stdout)

@@ -12,6 +12,7 @@ from lrm.codec import (
     demodulate,
     encode,
     is_legal,
+    ranking_words,
     realizable,
     window_consistent,
 )
@@ -112,6 +113,31 @@ def test_decode_general_round_trip_containment_property(profile):
     for t in (2, 3, 4):
         base = demodulate(profile, t)
         assert base in decode_general(encode(base))
+
+
+def _preimages_by_ranking(t, n):
+    """Codeword -> base words of every ranking of n cells, by demodulate and encode."""
+    out = {}
+    for ranking in itertools.permutations(range(n)):
+        base = demodulate(ranking, t)
+        out.setdefault(encode(base).digits, set()).add(base)
+    return out
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_decode_general_matches_ranking_oracle_t4(n):
+    preimages = _preimages_by_ranking(4, n)
+    for digits in itertools.product(range(4), repeat=n):
+        assert decode_general(Codeword(4, digits)) == preimages.get(digits, set())
+
+
+@pytest.mark.parametrize("t", [3, 4, 5])
+def test_ranking_words_match_demodulate_encode(t):
+    for n in range(t, 8):
+        preimages = _preimages_by_ranking(t, n)
+        codewords, basewords = ranking_words(t, n)
+        assert codewords == preimages.keys()
+        assert basewords == {b.symbols for bases in preimages.values() for b in bases}
 
 
 def test_decode_general_empty_on_all_ones():

@@ -8,9 +8,7 @@ from lrm.codec import Codeword, decode_general, demodulate, encode, realizable
 from lrm.graycode import (
     GrayCycle,
     GrayGraph,
-    gray_adjacent,
     longest_cycle,
-    push_move_positions,
     push_step,
     validate_cycle,
     weight_words,
@@ -24,21 +22,15 @@ SEARCH_MAXIMA = {
 }
 
 
-def test_gray_adjacent_examples():
-    assert gray_adjacent("01010", "10010")
-    assert gray_adjacent("10010", "00011")  # wrap-around pair (4, 0)
-    assert not gray_adjacent("01100", "01100")
-
-
-def test_gray_adjacent_modes():
-    assert not gray_adjacent("01010", "00011", "adjacent")  # positions 1 and 4
-    assert gray_adjacent("01010", "00011", "any")
+def test_push_step_modes_and_input_errors():
+    assert not push_step("00011", "01010", "adjacent")  # positions 1 and 4
+    assert push_step("00011", "01010", "any")
     with pytest.raises(ValueError):
-        gray_adjacent("01", "011")
+        push_step("01", "011")
     with pytest.raises(ValueError):
-        gray_adjacent("01", "11")
+        push_step("01", "11")
     with pytest.raises(ValueError):
-        gray_adjacent("01", "10", "diagonal")
+        push_step("01", "10", "diagonal")
 
 
 def test_push_step_is_the_directed_half():
@@ -59,13 +51,14 @@ def test_push_step_is_the_directed_half():
     )
 )
 @settings(max_examples=150)
-def test_gray_adjacent_symmetric_irreflexive(pair):
+def test_push_step_antisymmetric_irreflexive(pair):
     u, v = pair
-    assert gray_adjacent(u, v) == gray_adjacent(v, u)
-    assert not gray_adjacent(u, u)
-    # an edge is exactly one directed step, never both
-    if gray_adjacent(u, v):
-        assert push_step(u, v) != push_step(v, u)
+    assert not push_step(u, u)
+    diffs = [i for i in range(len(u)) if u[i] != v[i]]
+    swap = len(diffs) == 2 and diffs[1] - diffs[0] in (1, len(u) - 1)
+    # words one cyclically adjacent swap apart are one step apart, in one direction only
+    assert (push_step(u, v) or push_step(v, u)) == swap
+    assert not (push_step(u, v) and push_step(v, u))
 
 
 def test_longest_cycle_search_maxima():
@@ -124,9 +117,9 @@ def test_gray_graph_shape():
     # out-degree is at most the weight: each token can move left at most once
     assert all(len(graph.successors[v]) <= 2 for v in graph.vertices)
     assert all(
-        u in graph.adjacency[v]
+        (u in graph.successors[v]) == push_step(v, u)
         for v in graph.vertices
-        for u in graph.successors[v]
+        for u in graph.vertices
     )
 
 
@@ -150,9 +143,7 @@ def test_push_moves_match_adjacency_exhaustively(n):
             if target.count("1") != word.count("1"):
                 continue
             assert push_step(word, target)
-            assert push_move_positions(word, target) == [cell]
         for other in weight_words(n, 2):
             if push_step(word, other):
-                cells = push_move_positions(word, other)
+                cells = [cell for cell in range(n) if _word_of(apply_push(profile, cell, 2)) == other]
                 assert len(cells) == 1
-                assert _word_of(apply_push(profile, cells[0], 2)) == other

@@ -22,6 +22,8 @@ from lrm.states import (
     state_oracle,
     successor,
     tail_table,
+    windows,
+    wrap_digits,
 )
 
 STATE1 = State(perm=(1, 2), tuples=frozenset({(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)}))
@@ -109,7 +111,7 @@ def test_tail_table_sums_and_partition(t):
     table = tail_table(t)
     target = t ** (t - 1)
     for state in complete_states(t):
-        assert table.row_sum(state) == target
+        assert sum(len(v) for (s, _), v in table.tails.items() if s == state) == target
         union = set()
         total = 0
         for pi in head_permutations(t):
@@ -119,7 +121,50 @@ def test_tail_table_sums_and_partition(t):
         # the per-head tail sets partition all t^(t-1) endings
         assert total == target and len(union) == target
     for pi in head_permutations(t):
-        assert table.column_sum(pi) == target
+        assert sum(len(v) for (_, p), v in table.tails.items() if p == pi) == target
+
+
+def _merged_wrap_windows(pi, tail_perm, rel):
+    """Slow reference: the t-1 wrap windows read off the merged order of all 2t-2 cells.
+
+    A tracked cell with relation value x sits above exactly the x lowest
+    head cells, and tracked cells sharing a value keep their mutual order.
+    Window k spans tail block positions k..t-1, then head cells 1..k.
+    """
+    t = len(pi) + 1
+    head_asc = [("head", k) for k in reversed(pi)]
+    tail_asc = [("tail", j) for j in reversed(tail_perm)]
+    merged = []
+    for band in range(t):
+        merged.extend(tok for tok in tail_asc if rel[tok[1] - 1] == band)
+        if band < t - 1:
+            merged.append(head_asc[band])
+    rank = {tok: r for r, tok in enumerate(merged)}
+    digits = []
+    perms = []
+    for k in range(1, t):
+        cells = [("tail", j) for j in range(k, t)] + [("head", m) for m in range(1, k + 1)]
+        newest = ("head", k)
+        digits.append(sum(1 for c in cells if c != newest and rank[c] < rank[newest]))
+        perms.append(tuple(sorted(range(1, t + 1), key=lambda lbl: -rank[cells[lbl - 1]])))
+    return tuple(digits), tuple(perms)
+
+
+@pytest.mark.parametrize("t", [2, 3, 4, 5])
+def test_wrap_digits_match_merged_order(t):
+    heads = head_permutations(t)
+    tail_orders = heads if t <= 4 else heads[:1] + heads[-1:]
+    for pi in heads:
+        for rel in itertools.product(range(t), repeat=t - 1):
+            digits = wrap_digits(pi, rel)
+            # the closed form never reads the tail order, and neither do the true digits
+            assert {_merged_wrap_windows(pi, tail, rel)[0] for tail in tail_orders} == {digits}
+    for pi in heads:
+        for tail in tail_orders:
+            for rel in monotone_tuples(tail):
+                digits, perms = _merged_wrap_windows(pi, tail, rel)
+                # the successor rule reads the same wrap windows from the tail order
+                assert tuple(windows(tail, digits)) == perms
 
 
 def test_state_oracle_matches_reference_state():
