@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Exhaustive longest-cycle search over a range of lengths, both adjacency
-readings, optionally writing the witness cycle files.
+readings, optionally writing the witness cycle files.  Every witness is
+checked with ``validate_cycle``; a rejected one ends the run with its
+reason on stderr and exit code 1.
 
 Example:
     python3 scripts/gray_search.py --lo 4 --hi 8 --w 2 --out-dir cycles
@@ -8,6 +10,7 @@ Example:
 
 import argparse
 import pathlib
+import sys
 
 from lrm.graycode import MODES, longest_cycle, validate_cycle
 
@@ -34,7 +37,9 @@ def main() -> None:
                 verdict = "=2n"
             print(f"{mode:>9} {n:>3} {args.w:>3} {length:>4} {2 * n:>4} {verdict:>8}")
             if cycle is not None:
-                assert validate_cycle(cycle.words, n, args.w, mode).ok
+                check = validate_cycle(cycle.words, n, args.w, mode)
+                if not check.ok:
+                    sys.exit(f"{mode} n={n} w={args.w}: witness rejected: {check.reason} {check.detail}")
                 if out_dir:
                     path = out_dir / f"cycle_n{n}_w{args.w}_{mode}.txt"
                     path.write_text(cycle.to_file_text(), encoding="utf-8")

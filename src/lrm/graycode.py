@@ -11,7 +11,10 @@ The default mode reads the changed pair cyclically and requires it to be
 cyclically adjacent, matching what one push can touch.  Mode "any" relaxes
 adjacency and reads the pair left to right; every such move strictly drops
 the sum of one-positions, so no cyclic code exists under it at all, which
-is the strongest sign the adjacent reading is the operative one.
+is the strongest sign the adjacent reading is the operative one.  Under
+the adjacent reading a step moves one 1 one place left, cyclically, so it
+lowers the sum of one-positions by exactly 1 mod n: every cyclic code has a
+length k*n and meets each residue class of that sum exactly k times.
 
 Cycle files carry a header line "n=<n> w=<w> len=<len>" followed by one
 binary word per line in cyclic order.
@@ -87,8 +90,22 @@ class GrayGraph:
 
     @classmethod
     def build(cls, n: int, w: int, mode: str = "adjacent") -> "GrayGraph":
+        if mode == "adjacent":  # (n-1, 0) repeats (0, 1) when n = 2
+            pairs = [(p, (p + 1) % n) for p in range(n if n > 2 else n - 1)]
+        elif mode == "any":
+            pairs = list(itertools.combinations(range(n), 2))
+        else:
+            raise ValueError(f"unknown adjacency mode: {mode!r}")
         vertices = tuple(weight_words(n, w))
-        succ = {u: tuple(v for v in vertices if push_step(u, v, mode)) for u in vertices}
+        succ = {}
+        for u in vertices:
+            moved = []
+            for p, q in pairs:
+                if u[p] + u[q] == "01":
+                    v = list(u)
+                    v[p], v[q] = "1", "0"
+                    moved.append("".join(v))
+            succ[u] = tuple(sorted(moved))  # equal-length binary words sort in vertex order
         return cls(n=n, w=w, mode=mode, vertices=vertices, successors=succ)
 
 
@@ -122,8 +139,15 @@ def longest_cycle(n: int, w: int, mode: str = "adjacent") -> tuple[int, GrayCycl
 
     Exhaustive backtracking over start words in lexicographic order,
     visiting only words above the start so every cycle is met exactly once,
-    at its minimum word.  A branch dies when even the words still reachable
-    cannot beat the best cycle, or when the start is out of reach.
+    at its minimum word.  Word sets are int bitmasks in vertex order.  The
+    room of a path ending at v holds the words off the path that v reaches
+    and that still reach the start; a closing path uses no others.  A branch
+    dies unless path plus room can hold a cycle of the least length that
+    beats the best, ``k * period``, with k words in each position-sum class
+    mod ``period`` (n in adjacent mode, where every cycle length is a
+    multiple of n; 1 otherwise).  Only branches that cannot beat the best
+    are cut, so the witness is the cycle a plain backtracking search finds
+    first.
     """
     graph = GrayGraph.build(n, w, mode)
     budget = enumeration_budget(_DEFAULT_VERTEX_BUDGET)
@@ -131,51 +155,55 @@ def longest_cycle(n: int, w: int, mode: str = "adjacent") -> tuple[int, GrayCycl
         raise ValueError(f"{len(graph.vertices)} vertices exceed the search budget {budget}")
     verts = graph.vertices
     index = {v: i for i, v in enumerate(verts)}
-    succ = graph.successors
+    succ = [[index[y] for y in graph.successors[x]] for x in verts]
+    succ_mask = [sum(1 << j for j in s) for s in succ]
+    pred_mask = [sum(1 << i for i, s in enumerate(succ) if j in s) for j in range(len(verts))]
+    period = n if mode == "adjacent" else 1
+    classes = [0] * period
+    for i, x in enumerate(verts):
+        classes[sum(p for p, ch in enumerate(x) if ch == "1") % period] |= 1 << i
     best_len = 0
-    best: tuple[str, ...] | None = None
+    best: tuple[int, ...] | None = None
+    path: list[int] = []
 
-    def reach_and_closable(u: str, si: int, on_path: set[str], start: str) -> tuple[int, bool]:
-        seen = {u}
-        stack = [u]
-        closable = start in succ[u]
-        count = 0
-        while stack:
-            x = stack.pop()
-            for y in succ[x]:
-                if index[y] <= si or y in on_path or y in seen:
-                    continue
-                seen.add(y)
-                count += 1
-                stack.append(y)
-                if not closable and start in succ[y]:
-                    closable = True
-        return count, closable
+    def closure(seed: int, inside: int, step: list[int]) -> int:
+        reach = frontier = seed & inside
+        while frontier:
+            image = 0
+            while frontier:
+                low = frontier & -frontier
+                image |= step[low.bit_length() - 1]
+                frontier ^= low
+            frontier = image & inside & ~reach
+            reach |= frontier
+        return reach
 
-    for si, start in enumerate(verts):
-        if len(verts) - si <= best_len:
+    def extend(u: int, allowed: int, taken: int) -> None:
+        nonlocal best_len, best
+        for v in succ[u]:
+            if not allowed >> v & 1:
+                continue
+            path.append(v)
+            if len(path) >= 3 and into_start >> v & 1 and len(path) > best_len:
+                best_len = len(path)
+                best = tuple(path)
+            k = best_len // period + 1
+            if len(path) + allowed.bit_count() > k * period:  # room lies in allowed minus v
+                forward = closure(succ_mask[v], allowed & ~(1 << v), succ_mask)
+                room = closure(into_start & forward, forward, pred_mask)
+                on_path = taken | 1 << v
+                if all(((room | on_path) & c).bit_count() >= k for c in classes):  # k words per class
+                    extend(v, room, on_path)
+            path.pop()
+
+    full = (1 << len(verts)) - 1
+    for si in range(len(verts)):
+        if len(verts) - si < (best_len // period + 1) * period:
             break
-        path = [start]
-        on_path = {start}
-
-        def extend(u: str) -> None:
-            nonlocal best_len, best
-            for v in succ[u]:
-                if index[v] <= si or v in on_path:
-                    continue
-                path.append(v)
-                on_path.add(v)
-                if len(path) >= 3 and start in succ[v] and len(path) > best_len:
-                    best_len = len(path)
-                    best = tuple(path)
-                room, closable = reach_and_closable(v, si, on_path, start)
-                if closable and len(path) + room > best_len:
-                    extend(v)
-                on_path.discard(v)
-                path.pop()
-
-        extend(start)
-    return best_len, (GrayCycle(words=best) if best is not None else None)
+        path[:] = [si]
+        into_start = pred_mask[si]
+        extend(si, full ^ ((2 << si) - 1), 1 << si)
+    return best_len, (GrayCycle(words=tuple(verts[i] for i in best)) if best is not None else None)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from lrm.cli import dispatch
+from lrm.graycode import GrayCycle
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -158,6 +159,31 @@ def test_gray_and_validate(capsys, tmp_path):
     assert code == 1 and payload["reason"] == "adjacency"
 
 
+def test_gray_weight_four_finishes(capsys):
+    code, payload = run_json(capsys, "gray", "--n", "8", "--w", "4")
+    assert code == 0 and payload["length"] == 64 and len(payload["cycle"]) == 64
+
+
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+def test_gray_search_rejects_a_bad_witness(monkeypatch, capsys):
+    script = _load_script("gray_search")
+    monkeypatch.setattr(sys, "argv", ["gray_search.py", "--lo", "5", "--hi", "5", "--modes", "adjacent"])
+    script.main()
+    assert capsys.readouterr().out.splitlines()[1].split() == ["adjacent", "5", "2", "10", "10", "=2n"]
+    good = script.longest_cycle(5, 2)[1].words
+    reversed_cycle = GrayCycle(words=good[::-1])  # every step runs against its direction
+    monkeypatch.setattr(script, "longest_cycle", lambda n, w, mode: (10, reversed_cycle))
+    with pytest.raises(SystemExit) as info:
+        script.main()
+    assert info.value.code == f"adjacent n=5 w=2: witness rejected: adjacency {good[-1]}->{good[-2]}"
+
+
 def test_domain_errors_exit_2(capsys):
     code, payload = run_json(capsys, "demodulate", "--t", "3", "--profile", "1,1,2,3")
     assert code == 2 and payload["ok"] is False and "error" in payload
@@ -200,9 +226,7 @@ def test_runs_without_numpy():
 
 
 def test_readme_commands_run():
-    spec = importlib.util.spec_from_file_location("readme_commands", SCRIPTS / "readme_commands.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = _load_script("readme_commands")
     commands = script.readme_commands()
     assert len(commands) >= 10
     # 0 or a computed negative verdict; 2 would mean a usage error such as a removed flag

@@ -6,6 +6,7 @@ from hypothesis import strategies as hst
 
 from lrm.codec import Codeword, decode_general, demodulate, encode, realizable
 from lrm.graycode import (
+    MODES,
     GrayCycle,
     GrayGraph,
     longest_cycle,
@@ -116,11 +117,94 @@ def test_gray_graph_shape():
     assert len(graph.vertices) == 10
     # out-degree is at most the weight: each token can move left at most once
     assert all(len(graph.successors[v]) <= 2 for v in graph.vertices)
-    assert all(
-        (u in graph.successors[v]) == push_step(v, u)
-        for v in graph.vertices
-        for u in graph.vertices
-    )
+    # successors are made by direct swaps; push_step over all pairs is the check
+    for mode in MODES:
+        for n in range(5, 9):
+            for w in range(1, n):
+                graph = GrayGraph.build(n, w, mode)
+                for u in graph.vertices:
+                    assert graph.successors[u] == tuple(v for v in graph.vertices if push_step(u, v, mode))
+    with pytest.raises(ValueError):
+        GrayGraph.build(5, 2, "diagonal")
+
+
+def _one_sum(word):
+    return sum(i for i, ch in enumerate(word) if ch == "1")
+
+
+def test_adjacent_steps_lower_the_one_sum_by_one_mod_n():
+    """The fact behind the period-n cut: each step drops the one-position sum by 1 mod n."""
+    for n in range(2, 10):
+        for w in range(n + 1):
+            words = weight_words(n, w)
+            for u in words:
+                for v in words:
+                    if push_step(u, v):
+                        assert (_one_sum(u) - _one_sum(v)) % n == 1
+
+
+def _reference_longest_cycle(n, w, mode):
+    """Slow reference: plain string-set backtracking over push_step successors."""
+    verts = weight_words(n, w)
+    index = {v: i for i, v in enumerate(verts)}
+    succ = {u: tuple(v for v in verts if push_step(u, v, mode)) for u in verts}
+    best_len, best = 0, None
+
+    def reach_and_closable(u, si, on_path, start):
+        seen, stack, closable, count = {u}, [u], start in succ[u], 0
+        while stack:
+            for y in succ[stack.pop()]:
+                if index[y] <= si or y in on_path or y in seen:
+                    continue
+                seen.add(y)
+                count += 1
+                stack.append(y)
+                closable = closable or start in succ[y]
+        return count, closable
+
+    for si, start in enumerate(verts):
+        if len(verts) - si <= best_len:
+            break
+        path, on_path = [start], {start}
+
+        def extend(u):
+            nonlocal best_len, best
+            for v in succ[u]:
+                if index[v] <= si or v in on_path:
+                    continue
+                path.append(v)
+                on_path.add(v)
+                if len(path) >= 3 and start in succ[v] and len(path) > best_len:
+                    best_len, best = len(path), tuple(path)
+                room, closable = reach_and_closable(v, si, on_path, start)
+                if closable and len(path) + room > best_len:
+                    extend(v)
+                on_path.discard(v)
+                path.pop()
+
+        extend(start)
+    return best_len, best
+
+
+DIFFERENTIAL_CASES = [(n, w) for n in range(2, 9) for w in range(1, n) if (n, w) != (8, 4)] + [(9, 2)]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_longest_cycle_matches_reference_search(mode):
+    """Same length and same witness words as the plain backtracking search."""
+    for n, w in DIFFERENTIAL_CASES:
+        length, cycle = longest_cycle(n, w, mode)
+        assert (length, cycle.words if cycle else None) == _reference_longest_cycle(n, w, mode), (n, w)
+        if mode == "adjacent":
+            assert length % n == 0, (n, w)
+
+
+@pytest.mark.parametrize(("n", "w", "expected"), [(8, 4, 64), (9, 3, 81)])
+def test_longest_cycle_former_hangs(n, w, expected):
+    """Maxima for weights three and four, each a multiple of n."""
+    length, cycle = longest_cycle(n, w)
+    assert length == expected
+    assert validate_cycle(cycle.words, n, w).ok
 
 
 def _word_of(profile):
