@@ -3,11 +3,13 @@
 
 Example:
     python3 scripts/density_sweep.py --t 3 --lo 6 --hi 11
+
+The same rows as CSV come from ``lrm count --t 3 --range 6:11 --format csv``.
 """
 
 import argparse
 
-from lrm.census import CountReport, density_report
+from lrm.census import density_report
 
 
 def main() -> None:
@@ -16,17 +18,10 @@ def main() -> None:
     parser.add_argument("--lo", type=int, default=6)
     parser.add_argument("--hi", type=int, default=11)
     parser.add_argument("--pattern", help="forcing pattern, comma-separated digits")
-    parser.add_argument("--csv", action="store_true", help="emit CSV instead of a table")
     args = parser.parse_args()
 
     pattern = tuple(int(x) for x in args.pattern.split(",")) if args.pattern else None
     reports = density_report(args.t, range(args.lo, args.hi + 1), pattern=pattern)
-
-    if args.csv:
-        print(CountReport.csv_header())
-        for report in reports:
-            print(report.to_csv_row())
-        return
 
     bound = args.t ** (args.t - 1)
     print(f"t={args.t}  (bound factor {bound})")

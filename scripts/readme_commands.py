@@ -4,10 +4,11 @@
 Each command runs as ``python -m lrm`` on the ``src`` tree of this checkout,
 all of them in one fresh temporary directory, so the ``gray --out`` file is
 there for the ``validate --file`` after it.  For each command the script
-prints the command line, its exit code and its stdout.  Diffing the output
-of two checkouts shows whether a change kept README output byte-identical:
+prints the command line, its exit code and its stdout.  The recorded
+output lives in ``tests/readme_stdout.txt``, which the test suite compares
+byte for byte; regenerate it after a deliberate change:
 
-    python3 scripts/readme_commands.py > after.txt
+    python3 scripts/readme_commands.py > tests/readme_stdout.txt
 """
 
 from __future__ import annotations

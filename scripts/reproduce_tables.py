@@ -37,8 +37,9 @@ def main() -> None:
     tails = tail_table(3)
     for state in states:
         for pi in head_permutations(3):
-            tail_text = " ".join("".join(map(str, tail)) for tail in sorted(tails.tails[(state, pi)]))
-            print(f"  {names[state]}, head [{','.join(map(str, pi))}]: {tails.count(state, pi)}   ({tail_text})")
+            row = tails.tails[(state, pi)]
+            tail_text = " ".join("".join(map(str, tail)) for tail in sorted(row))
+            print(f"  {names[state]}, head [{','.join(map(str, pi))}]: {len(row)}   ({tail_text})")
 
     pattern = (2, 0, 1, 1)
     automaton = factor_automaton(pattern, 3)

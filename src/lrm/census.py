@@ -182,16 +182,6 @@ class CountReport:
     def to_json_dict(self) -> dict:
         return {field: getattr(self, field) for field in self.CSV_FIELDS}
 
-    def to_csv_row(self) -> str:
-        def cell(value):
-            return "" if value is None else str(value)
-
-        return ",".join(cell(getattr(self, field)) for field in self.CSV_FIELDS)
-
-    @classmethod
-    def csv_header(cls) -> str:
-        return ",".join(cls.CSV_FIELDS)
-
 
 def count_by_rankings(t: int, n: int) -> CountReport:
     """Count distinct codewords (and base words) over all n! cell rankings.

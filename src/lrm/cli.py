@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 from typing import Sequence
@@ -27,12 +26,18 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 
 def _parse_range(text: str) -> range:
-    raw = text.replace("..", ":")
-    if ":" in raw:
-        lo, hi = raw.split(":")
-        return range(int(lo), int(hi) + 1)
-    n = int(raw)
-    return range(n, n + 1)
+    """Lengths lo..hi, both included, from "lo:hi", "lo..hi" or one length."""
+    parts = text.replace("..", ":").split(":")
+    if len(parts) <= 2:
+        lo, hi = int(parts[0]), int(parts[-1])
+        if lo <= hi:
+            return range(lo, hi + 1)
+    raise ValueError(f"--range takes lo:hi with lo <= hi, or one length; got {text!r}")
+
+
+def _report_rows(reports) -> list[tuple]:
+    """CSV rows of census reports: the field names, then one row per report."""
+    return [census.CountReport.CSV_FIELDS] + [tuple(r.to_json_dict().values()) for r in reports]
 
 
 def _render_perm(perm: Sequence[int]) -> str:
@@ -94,7 +99,7 @@ def _cmd_count(args) -> tuple[dict, int]:
             raise ValueError(f"--range picks the engine per length; it cannot take --method {args.method}")
         ns = _parse_range(args.range)
         reports = census.density_report(args.t, ns, pattern=pattern, jobs=args.jobs)
-        return {"reports": [r.to_json_dict() for r in reports], "_csv": reports}, 0
+        return {"reports": [r.to_json_dict() for r in reports], "_csv_rows": _report_rows(reports)}, 0
     if args.n is None:
         raise ValueError("count needs --n or --range")
     method = census.auto_method(args.t, args.n) if args.method == "auto" else args.method
@@ -105,7 +110,7 @@ def _cmd_count(args) -> tuple[dict, int]:
     payload["method"] = method
     if report.base_word_count is not None:
         payload["base_word_count"] = report.base_word_count
-    payload["_csv"] = [report]
+    payload["_csv_rows"] = _report_rows([report])
     return payload, 0
 
 
@@ -217,20 +222,6 @@ def _cmd_validate(args) -> tuple[dict, int]:
     return payload, 0 if result.ok else 1
 
 
-_HANDLERS = {
-    "demodulate": _cmd_demodulate,
-    "encode": _cmd_encode,
-    "decode": _cmd_decode,
-    "check": _cmd_check,
-    "count": _cmd_count,
-    "spectral": _cmd_spectral,
-    "states": _cmd_states,
-    "pattern": _cmd_pattern,
-    "gray": _cmd_gray,
-    "validate": _cmd_validate,
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lrm",
@@ -238,8 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, *, t=True, jobs_help=None):
+    def add(name, handler, help_text, *, t=True, jobs_help=None):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         if t:
             p.add_argument("--t", type=int, default=3, help="window size (default 3)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -247,22 +239,23 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--jobs", type=int, default=1, help=jobs_help)
         return p
 
-    p = add("demodulate", "charge profile to base word")
+    p = add("demodulate", _cmd_demodulate, "charge profile to base word")
     p.add_argument("--profile", required=True, help="comma-separated charge levels")
 
-    p = add("encode", "base word to codeword")
+    p = add("encode", _cmd_encode, "base word to codeword")
     p.add_argument("--word", required=True, help="base word, comma-separated symbols")
 
-    p = add("decode", "codeword to realizable base word(s)")
+    p = add("decode", _cmd_decode, "codeword to realizable base word(s)")
     p.add_argument("--word", required=True, help="codeword digit string")
     p.add_argument("--method", choices=("auto", "anchored", "state"), default="auto")
 
-    p = add("check", "legality of a codeword or realizability of a base word")
+    p = add("check", _cmd_check, "legality of a codeword or realizability of a base word")
     p.add_argument("--word", help="codeword digit string")
     p.add_argument("--base-word", dest="base_word", help="base word, comma-separated symbols")
 
     p = add(
         "count",
+        _cmd_count,
         "census of legal codewords",
         jobs_help="worker processes for per-word legality counting: --method legality, t >= 5 (default 1)",
     )
@@ -271,25 +264,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("auto", "rankings", "legality"), default="auto")
     p.add_argument("--pattern", help="forcing pattern, comma-separated digits")
 
-    p = add("spectral", "factor automaton and its growth rate")
+    p = add("spectral", _cmd_spectral, "factor automaton and its growth rate")
     p.add_argument("--pattern", required=True, help="forbidden factor, comma-separated digits")
 
-    p = add("states", "complete states, tail table, or a state chase")
+    p = add("states", _cmd_states, "complete states, tail table, or a state chase")
     p.add_argument("--digits", help="digit prefix, comma-separated")
     p.add_argument("--pi", help="head order, comma-separated (e.g. 2,1)")
     p.add_argument("--method", choices=("chain", "oracle"), default="chain")
 
-    p = add("pattern", "forcing-pattern test or exhaustive search")
+    p = add("pattern", _cmd_pattern, "forcing-pattern test or exhaustive search")
     p.add_argument("--pattern", help="digit sequence, comma-separated")
     p.add_argument("--max-len", dest="max_len", type=int, help="search all patterns up to this length")
 
-    p = add("gray", "exhaustive longest-cycle search", t=False, jobs_help="ignored: the search runs on one core")
+    p = add(
+        "gray",
+        _cmd_gray,
+        "exhaustive longest-cycle search",
+        t=False,
+        jobs_help="ignored: the search runs on one core",
+    )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--w", type=int, default=2)
     p.add_argument("--mode", choices=graycode.MODES, default="adjacent")
     p.add_argument("--out", help="write the witness cycle file here")
 
-    p = add("validate", "check a candidate cycle", t=False)
+    p = add("validate", _cmd_validate, "check a candidate cycle", t=False)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--w", type=int, default=2)
     p.add_argument("--mode", choices=graycode.MODES, default="adjacent")
@@ -299,44 +298,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_csv(payload: dict) -> str:
-    if "_csv" in payload:
-        reports = payload["_csv"]
-        lines = [census.CountReport.csv_header()]
-        lines += [r.to_csv_row() for r in reports]
-        return "\n".join(lines)
-    if "_csv_rows" in payload:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerows(payload["_csv_rows"])
-        return buffer.getvalue().rstrip("\n")
-    raise ValueError("this command has no CSV form")
-
-
-def dispatch(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler = _HANDLERS[args.command]
+def main(argv: Sequence[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
     t = getattr(args, "t", 2)
     try:
-        payload, code = handler(args)
+        payload, code = args.handler(args)
+        rows = payload.pop("_csv_rows", None)
+        if args.format == "csv" and rows is None:
+            raise ValueError(f"{args.command} has no CSV form")
     except (ValueError, OSError, census.SpectralError) as exc:
         error = {"command": args.command, "t": t, "ok": False, "error": str(exc)}
         print(json.dumps(error))
         return 2
     if args.format == "csv":
-        print(_emit_csv(payload))
+        csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
         return code
-    payload.pop("_csv", None)
-    payload.pop("_csv_rows", None)
     ordered = {"command": args.command, "t": t, "ok": code == 0}
     ordered.update(payload)
     print(json.dumps(ordered))
     return code
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    return dispatch(argv)
 
 
 if __name__ == "__main__":

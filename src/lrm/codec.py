@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import states as st
 from .permutations import MAX_WINDOW, MIN_WINDOW, Perm, rank_to_permutation, symbol_table, window_digit
@@ -194,36 +194,33 @@ def decode3(word: Codeword) -> BaseWord | None:
 # General decoding via the state chain ----------------------------------------
 
 
-def _final_states(g: Sequence[int], t: int):
-    """(pi, state after the linear prefix) for every head order pi.
+def _legal_heads(g: Sequence[int], t: int) -> Iterator[Perm]:
+    """Head orders pi whose chain state admits the word's tail.
 
-    The linear prefix stops t-1 digits short of the end: those last digits
-    belong to the windows that wrap around into the head cells.
+    The chain runs over the linear prefix, which stops t-1 digits short of
+    the end: those last digits belong to the windows that wrap around into
+    the head cells, and the final state's tails under pi must hold them.
     """
     n = len(g)
+    head, middle, tail = g[: t - 1], g[t - 1 : n - t + 1], g[n - t + 1 :]
     for pi in st.head_permutations(t):
-        yield pi, st.chain(st.initial_state(g[: t - 1], t, pi), g[t - 1 : n - t + 1])
+        if tail in st.achievable_tails(st.chain(st.initial_state(head, t, pi), middle), pi):
+            yield pi
 
 
 def decode_general(word: Codeword) -> set[BaseWord]:
     """Every realizable base word that encodes to the codeword.
 
-    Runs the head-conditioned state chain over the linear prefix and keeps
-    the head orders pi whose final state admits the word's tail.  Under pi
-    the digits alone fix every window, the t-1 cycle-closing ones included,
-    so each kept pi gives one base word: at most (t-1)! of them.
+    Under each head order pi that ``_legal_heads`` keeps, the digits alone
+    fix every window, the t-1 cycle-closing ones included, so each kept pi
+    gives one base word: at most (t-1)! of them.
     """
     t, g = word.t, word.digits
     n = len(g)
     if n < 2 * t - 2:
         raise ValueError(f"state-chain decoding needs n >= 2t-2 = {2 * t - 2}, got {n}")
-    tail = g[n - t + 1 :]
     table = symbol_table(t)
-    return {
-        BaseWord(t, tuple(map(table.symbol, st.windows(pi, g))))
-        for pi, state in _final_states(g, t)
-        if tail in st.achievable_tails(state, pi)
-    }
+    return {BaseWord(t, tuple(map(table.symbol, st.windows(pi, g)))) for pi in _legal_heads(g, t)}
 
 
 def ranking_words(t: int, n: int) -> tuple[set[tuple[int, ...]], set[tuple[int, ...]]]:
@@ -274,8 +271,7 @@ def is_legal(word: Codeword) -> bool:
         raise ValueError(f"need at least t = {t} digits, got {n}")
     if n < 2 * t - 2:
         return g in _short_legal_words(t, n)
-    tail = g[n - t + 1 :]
-    return any(tail in st.achievable_tails(state, pi) for pi, state in _final_states(g, t))
+    return any(_legal_heads(g, t))
 
 
 __all__ = [

@@ -90,6 +90,8 @@ class GrayGraph:
 
     @classmethod
     def build(cls, n: int, w: int, mode: str = "adjacent") -> "GrayGraph":
+        if n < 2:
+            raise ValueError(f"two-cell windows need n >= 2 cells, got {n}")
         if mode == "adjacent":  # (n-1, 0) repeats (0, 1) when n = 2
             pairs = [(p, (p + 1) % n) for p in range(n if n > 2 else n - 1)]
         elif mode == "any":

@@ -79,12 +79,6 @@ class SymbolTable:
         else:
             self.perms = tuple(itertools.permutations(range(1, t + 1)))
         self._index = {p: s for s, p in enumerate(self.perms, start=1)}
-        if t == 3:
-            # Parity classes and their successor option sets.
-            self.odd_symbols = frozenset({1, 3, 5})
-            self.even_symbols = frozenset({2, 4, 6})
-            self.after_odd = frozenset({1, 2, 4})
-            self.after_even = frozenset({3, 5, 6})
 
     @property
     def size(self) -> int:
@@ -96,9 +90,12 @@ class SymbolTable:
         return self.perms[symbol - 1]
 
     def symbol(self, perm: Sequence[int]) -> int:
+        """Symbol of a window permutation; anything else misses the index."""
         key = tuple(perm)
-        _check_permutation(key, self.t)
-        return self._index[key]
+        try:
+            return self._index[key]
+        except KeyError:
+            raise ValueError(f"not a permutation of 1..{self.t}: {key}") from None
 
     def __repr__(self) -> str:
         return f"SymbolTable(t={self.t})"

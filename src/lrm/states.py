@@ -270,6 +270,8 @@ def _oracle_groups(digits: Sequence[int], t: int, pi: Perm | None) -> dict[Perm,
         raise ValueError(f"oracle enumeration capped at {_ORACLE_MAX_CELLS} cells, got {num_cells}")
     if any(not 0 <= d < t for d in digits):
         raise ValueError(f"digits must lie in 0..{t - 1}: {tuple(digits)}")
+    if pi is not None and sorted(pi) != list(range(1, t)):
+        raise ValueError(f"head order must be a permutation of 1..{t - 1}, got {tuple(pi)}")
     groups: dict[Perm, set[RelTuple]] = {}
     for asc in _consistent_orders(num_cells, digits, t, pi):
         perm, rel = _project(asc, num_cells, t)
@@ -310,18 +312,11 @@ def initial_state(digits: Sequence[int], t: int, pi: Perm | None = None) -> Stat
     return _initial_cached(digits, t, tuple(pi) if pi is not None else None)
 
 
-@lru_cache(maxsize=None)
-def _initial_set_cached(digits: tuple[int, ...], t: int) -> frozenset[State]:
-    groups = _oracle_groups(digits, t, None)
-    return frozenset(State(perm=p, tuples=frozenset(r)) for p, r in groups.items())
-
-
 def initial_states(digits: Sequence[int], t: int) -> frozenset[State]:
     """Every initial state a digit prefix admits, one per tracked order."""
-    digits = tuple(digits)
     if len(digits) != t - 1:
         raise ValueError(f"initial states need exactly t-1 = {t - 1} digits, got {len(digits)}")
-    return _initial_set_cached(digits, t)
+    return frozenset(State(perm=p, tuples=r) for p, r in _oracle_groups(digits, t, None).items())
 
 
 @lru_cache(maxsize=None)
@@ -417,16 +412,13 @@ class TailTable:
     t: int
     tails: dict[tuple[State, Perm], frozenset[tuple[int, ...]]]
 
-    def count(self, state: State, pi: Perm) -> int:
-        return len(self.tails[(state, pi)])
-
 
 def tail_table(t: int) -> TailTable:
     if not 2 <= t <= 4:
         raise ValueError(f"tail tables are kept enumerable for t in [2, 4], got {t}")
     tails = {}
     for state in complete_states(t):
-        for pi in itertools.permutations(range(1, t)):
+        for pi in head_permutations(t):
             tails[(state, pi)] = achievable_tails(state, pi)
     return TailTable(t=t, tails=tails)
 

@@ -78,10 +78,10 @@ def test_criterion_3_tables():
     for (state, digit), expected in successor_table.items():
         assert successor(state, digit) == expected
     table3 = tail_table(3)
-    assert table3.count(STATE1, (1, 2)) == 5
-    assert table3.count(STATE1, (2, 1)) == 4
-    assert table3.count(STATE2, (1, 2)) == 4
-    assert table3.count(STATE2, (2, 1)) == 5
+    assert len(table3.tails[(STATE1, (1, 2))]) == 5
+    assert len(table3.tails[(STATE1, (2, 1))]) == 4
+    assert len(table3.tails[(STATE2, (1, 2))]) == 4
+    assert len(table3.tails[(STATE2, (2, 1))]) == 5
     for t, target in ((3, 9), (4, 64)):
         table = tail_table(t)
         for state in complete_states(t):

@@ -6,14 +6,15 @@ from pathlib import Path
 
 import pytest
 
-from lrm.cli import dispatch
+from lrm.cli import main
 from lrm.graycode import GrayCycle
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+TESTS = Path(__file__).resolve().parent
+SCRIPTS = TESTS.parent / "scripts"
 
 
 def run(capsys, *argv):
-    code = dispatch(list(argv))
+    code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
 
@@ -93,6 +94,15 @@ def test_count_json_and_csv(capsys):
     assert lines[0] == "t,n,legal_count,total,density,m_prime,bound_ok,growth_rate"
     assert lines[1].startswith("3,6,426,729,")
     assert len(lines) == 3
+    code, out = run(capsys, "count", "--t", "3", "--n", "6", "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == [
+        "t,n,legal_count,total,density,m_prime,bound_ok,growth_rate",
+        "3,6,426,729,0.5843621399176955,,,",  # unset fields stay empty
+    ]
+    # a command without a table has no CSV form
+    code, payload = run_json(capsys, "check", "--t", "3", "--word", "02201", "--format", "csv")
+    assert code == 2 and payload["ok"] is False and "no CSV form" in payload["error"]
 
 
 RANGE_6_7 = (
@@ -111,6 +121,10 @@ def test_count_range_output_and_method_conflict(capsys):
     code, payload = run_json(capsys, "count", "--t", "3", "--range", "6:7", "--method", "rankings")
     assert code == 2 and payload["ok"] is False
     assert "--range" in payload["error"] and "--method rankings" in payload["error"]
+    # a reversed range and a third bound are refused, not read as empty or as a crash
+    for bad in ("9:6", "6:7:8"):
+        code, payload = run_json(capsys, "count", "--t", "3", "--range", bad)
+        assert code == 2 and payload["ok"] is False and "--range" in payload["error"]
 
 
 def test_count_one_length_takes_the_pattern_bound(capsys):
@@ -136,6 +150,11 @@ def test_states_listing_and_chase(capsys):
         capsys, "states", "--t", "3", "--digits", "2,2", "--method", "oracle"
     )
     assert payload["state"] == "([2,1], {(2,2)})"
+    # a head order that is not a permutation of 1..t-1 is refused by both methods
+    for pi in ("1,1", "1", "1,2,3"):
+        for method in ("chain", "oracle"):
+            code, payload = run_json(capsys, "states", "--t", "3", "--digits", "1,1", "--pi", pi, "--method", method)
+            assert code == 2 and payload["ok"] is False and "head order" in payload["error"]
 
 
 def test_pattern_verdicts(capsys):
@@ -193,14 +212,16 @@ def test_domain_errors_exit_2(capsys):
     assert code == 2
     code, payload = run_json(capsys, "check", "--t", "1", "--word", "000")
     assert code == 2 and payload["ok"] is False and "window size" in payload["error"]
+    code, payload = run_json(capsys, "gray", "--n", "0", "--w", "0")
+    assert code == 2 and payload["ok"] is False and "n >= 2" in payload["error"]
 
 
 def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as info:
-        dispatch(["nosuch"])
+        main(["nosuch"])
     assert info.value.code == 2
     with pytest.raises(SystemExit) as info:
-        dispatch(["check", "--t", "3", "--nope"])
+        main(["check", "--t", "3", "--nope"])
     assert info.value.code == 2
 
 
@@ -225,10 +246,10 @@ def test_runs_without_numpy():
     assert abs(json.loads(result.stdout)["growth_rate"] - 2.9615) < 5e-4
 
 
-def test_readme_commands_run():
+def test_readme_commands_run(capsys):
     script = _load_script("readme_commands")
-    commands = script.readme_commands()
-    assert len(commands) >= 10
-    # 0 or a computed negative verdict; 2 would mean a usage error such as a removed flag
-    for argv, code, stdout in script.run_commands(commands):
-        assert code in (0, 1), (argv, stdout)
+    assert len(script.readme_commands()) >= 10
+    # every README command's line, exit code and stdout, byte for byte as recorded;
+    # after a deliberate change: python3 scripts/readme_commands.py > tests/readme_stdout.txt
+    script.main()
+    assert capsys.readouterr().out == (TESTS / "readme_stdout.txt").read_text(encoding="utf-8")

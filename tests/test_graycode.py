@@ -126,6 +126,9 @@ def test_gray_graph_shape():
                     assert graph.successors[u] == tuple(v for v in graph.vertices if push_step(u, v, mode))
     with pytest.raises(ValueError):
         GrayGraph.build(5, 2, "diagonal")
+    for n in (0, 1):  # the search builds the graph before it takes anything mod n
+        with pytest.raises(ValueError, match="n >= 2"):
+            longest_cycle(n, 0)
 
 
 def _one_sum(word):

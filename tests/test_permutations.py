@@ -53,10 +53,6 @@ def test_symbol_table_t3_is_the_fixed_list():
     assert table.permutation(1) == (1, 2, 3)
     assert table.symbol((3, 1, 2)) == 4
     assert table.permutation(6) == (3, 2, 1)
-    assert table.odd_symbols == {1, 3, 5}
-    assert table.even_symbols == {2, 4, 6}
-    assert table.after_odd == {1, 2, 4}
-    assert table.after_even == {3, 5, 6}
 
 
 @pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
@@ -76,6 +72,10 @@ def test_symbol_table_bounds():
         symbol_table(3).permutation(0)
     with pytest.raises(ValueError):
         symbol_table(3).permutation(7)
+    with pytest.raises(ValueError):
+        symbol_table(3).symbol((1, 1, 2))
+    with pytest.raises(ValueError):
+        symbol_table(3).symbol((1, 2))
 
 
 def test_apply_push_examples():

@@ -99,10 +99,10 @@ def test_complete_states_closed_and_mutually_reachable(t):
 
 def test_tail_table_t3_reference_counts():
     table = tail_table(3)
-    assert table.count(STATE1, (1, 2)) == 5
-    assert table.count(STATE1, (2, 1)) == 4
-    assert table.count(STATE2, (1, 2)) == 4
-    assert table.count(STATE2, (2, 1)) == 5
+    assert len(table.tails[(STATE1, (1, 2))]) == 5
+    assert len(table.tails[(STATE1, (2, 1))]) == 4
+    assert len(table.tails[(STATE2, (1, 2))]) == 4
+    assert len(table.tails[(STATE2, (2, 1))]) == 5
     assert table.tails[(STATE1, (1, 2))] == {(2, 1), (2, 0), (1, 1), (1, 0), (0, 0)}
 
 
@@ -200,6 +200,11 @@ def test_oracle_guards():
         state_oracle((0,) * 9, 3)  # 11 cells
     with pytest.raises(ValueError):
         state_oracle((0,), 3)  # below t-1 digits
+    for pi in ((1, 1), (1,), (1, 2, 3)):  # not a permutation of 1..t-1
+        with pytest.raises(ValueError, match="head order"):
+            state_oracle((1, 1), 3, pi)
+        with pytest.raises(ValueError, match="head order"):
+            initial_state((1, 1), 3, pi)
 
 
 @given(hst.lists(hst.integers(min_value=0, max_value=2), min_size=2, max_size=30))
