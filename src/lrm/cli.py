@@ -97,6 +97,8 @@ def _cmd_count(args) -> tuple[dict, int]:
     if args.range is not None:
         if args.method != "auto":
             raise ValueError(f"--range picks the engine per length; it cannot take --method {args.method}")
+        if args.n is not None:
+            raise ValueError(f"--range gives the lengths to count; it cannot take --n {args.n}")
         ns = _parse_range(args.range)
         reports = census.density_report(args.t, ns, pattern=pattern, jobs=args.jobs)
         return {"reports": [r.to_json_dict() for r in reports], "_csv_rows": _report_rows(reports)}, 0

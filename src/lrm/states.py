@@ -13,11 +13,17 @@ before it, so consuming one digit inserts a new cell into the tracked
 order, re-bands its head relation between the relations of its window
 neighbours, and drops the oldest tracked cell.
 
+The first state of a word comes from the same rule: it starts at the head
+order, with the head cells as the tracked cells, and consumes the t-1 head
+digits; a head cell's relation sits between two integers, so the walk keeps
+doubled codes.  ``state_oracle`` builds states by enumerating cell orders
+instead, and is the independent reference the rule is tested against.
+
 States here come in two flavours.  Conditioned on a head permutation pi
 the state sequence of a word is always well defined.  Unconditioned states
 (no pi) are only well defined when every head order yields the same
 tracked-cell order; ``initial_state`` and ``state_oracle`` raise otherwise,
-and the set-valued variants return every alternative.
+and ``initial_states`` returns every alternative.
 """
 
 from __future__ import annotations
@@ -146,8 +152,8 @@ def _rule(perm: Perm, digit: int) -> tuple[Perm, Perm, int | None, int | None, d
 
     Returns the window permutation the digit reads, the new order, the
     block positions of the new cell's window neighbours above and below it
-    (None when absent), and an empty memo that ``successor`` fills with the
-    image mask of each tuple index it meets.
+    (None when absent), and an empty memo that ``_successor`` fills with the
+    image mask of each 16-tail chunk it meets.
     """
     t = len(perm) + 1
     insert_at = (t - 1) - digit  # index in the descending window order
@@ -167,6 +173,67 @@ def _image(index: int, t: int, above: int | None, below: int | None) -> int:
     return ((1 << (hi - lo + 1)) - 1) << (tail * t + lo)
 
 
+def _tail_images(tails: int, oldest: int, t: int, above: int | None, below: int | None, images: dict[int, int]) -> int:
+    """OR of the images of the tuples ``(oldest,) + tail`` over a set of tails.
+
+    The tails are taken 16 at a time; each chunk's image is memoized under
+    the index of its first tuple and its bits.  A rule either folds or
+    peels, so a folded tail set, whose oldest relation is never read, can
+    share the keys of ``oldest = 0``.
+    """
+    out = 0
+    first = oldest * t ** (t - 2)
+    while tails:
+        bits = tails & 0xFFFF
+        if bits:
+            key = first << 16 | bits
+            image = images.get(key)
+            if image is None:
+                image = 0
+                for i in _set_bits(bits):
+                    image |= _image(first + i, t, above, below)
+                images[key] = image
+            out |= image
+        tails >>= 16
+        first += 16
+    return out
+
+
+def _successor(state: State, digit: int) -> State:
+    """The successor rule, uncached; ``successor`` is its cache.
+
+    Bit ``r * t^(t-2) + tail`` of the mask stands for the tuple whose oldest
+    cell has relation r.  That cell drops out, so when neither window
+    neighbour is block position 1 the image depends on the tail alone and
+    the mask folds to one tail set.  When the neighbour below (above) is
+    position 1, r is an end of the new cell's run, and the runs of one tail
+    over every present r join into the run from its least (greatest) r: the
+    tail sets are peeled in that order, each tail at the first r that holds it.
+    """
+    perm, mask = state
+    t = len(perm) + 1
+    if not 0 <= digit < t:
+        raise ValueError(f"digit out of range 0..{t - 1}: {digit}")
+    _, new_perm, above, below, images = _rule(perm, digit)
+    width = t ** (t - 2)
+    full = (1 << width) - 1
+    out = 0
+    if above != 1 and below != 1:
+        tails = 0
+        while mask:
+            tails |= mask & full
+            mask >>= width
+        out = _tail_images(tails, 0, t, above, below, images)
+    else:
+        claimed = 0
+        for oldest in range(t) if below == 1 else range(t - 1, -1, -1):
+            tails = mask >> (oldest * width) & full & ~claimed
+            if tails:
+                claimed |= tails
+                out |= _tail_images(tails, oldest, t, above, below, images)
+    return tuple.__new__(State, (new_perm, out))
+
+
 @lru_cache(maxsize=None)
 def successor(state: State, digit: int) -> State:
     """Exact successor state after consuming one digit.
@@ -174,25 +241,10 @@ def successor(state: State, digit: int) -> State:
     The new cell enters the window with ``digit`` old cells below it; its
     head relation ranges between the relations of the window cells directly
     below and above it (0 and t-1 when absent).  The oldest cell drops out.
-    Each tuple maps to a run of tuples, one bit image per tuple index; the
-    successor's mask is the OR of the images of the state's set bits.
+    Each tuple maps to a run of tuples; the successor's mask is the OR of
+    the runs of the state's tuples.
     """
-    perm, mask = state
-    t = len(perm) + 1
-    if not 0 <= digit < t:
-        raise ValueError(f"digit out of range 0..{t - 1}: {digit}")
-    _, new_perm, above, below, images = _rule(perm, digit)
-    out = 0
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        index = low.bit_length() - 1
-        try:
-            out |= images[index]
-        except KeyError:
-            image = images[index] = _image(index, t, above, below)
-            out |= image
-    return tuple.__new__(State, (new_perm, out))
+    return _successor(state, digit)
 
 
 def chain(state: State, digits: Iterable[int]) -> State:
@@ -262,16 +314,33 @@ def _project(asc: tuple[int, ...], num_cells: int, t: int) -> tuple[Perm, RelTup
     return perm, rel
 
 
+def _check_prefix(digits: Sequence[int], t: int, pi: Perm | None) -> None:
+    if any(not 0 <= d < t for d in digits):
+        raise ValueError(f"digits must lie in 0..{t - 1}: {tuple(digits)}")
+    if pi is not None and sorted(pi) != list(range(1, t)):
+        raise ValueError(f"head order must be a permutation of 1..{t - 1}, got {tuple(pi)}")
+
+
+def _one_order(groups: dict[Perm, object], digits: Sequence[int]) -> tuple[Perm, object]:
+    """The only (tracked order, relations) group; raise when there is none or several."""
+    if not groups:
+        raise ValueError(f"no cell order realizes digits {tuple(digits)}")
+    if len(groups) > 1:
+        raise ValueError(
+            f"digit prefix {tuple(digits)} does not determine the tracked order; "
+            "condition on a head permutation"
+        )
+    ((perm, rels),) = groups.items()
+    return perm, rels
+
+
 def _oracle_groups(digits: Sequence[int], t: int, pi: Perm | None) -> dict[Perm, set[RelTuple]]:
     num_cells = t - 1 + len(digits)
     if len(digits) < t - 1:
         raise ValueError(f"need at least t-1 = {t - 1} digits, got {len(digits)}")
     if num_cells > _ORACLE_MAX_CELLS:
         raise ValueError(f"oracle enumeration capped at {_ORACLE_MAX_CELLS} cells, got {num_cells}")
-    if any(not 0 <= d < t for d in digits):
-        raise ValueError(f"digits must lie in 0..{t - 1}: {tuple(digits)}")
-    if pi is not None and sorted(pi) != list(range(1, t)):
-        raise ValueError(f"head order must be a permutation of 1..{t - 1}, got {tuple(pi)}")
+    _check_prefix(digits, t, pi)
     groups: dict[Perm, set[RelTuple]] = {}
     for asc in _consistent_orders(num_cells, digits, t, pi):
         perm, rel = _project(asc, num_cells, t)
@@ -285,27 +354,56 @@ def state_oracle(digits: Sequence[int], t: int, pi: Perm | None = None) -> State
     Independent of the successor rule: every relative order of the cells is
     built directly and projected onto (tracked order, relation set).  With
     no ``pi`` the prefix must pin the tracked order on its own; prefixes
-    that leave it open raise; ``initial_states`` lists every alternative.
+    that leave it open raise.  The reference for ``initial_state``.
     """
-    groups = _oracle_groups(digits, t, pi)
-    if not groups:
-        raise ValueError(f"no cell order realizes digits {tuple(digits)}")
-    if len(groups) > 1:
-        raise ValueError(
-            f"digit prefix {tuple(digits)} does not determine the tracked order; "
-            "condition on a head permutation"
-        )
-    ((perm, rels),) = groups.items()
+    perm, rels = _one_order(_oracle_groups(digits, t, pi), digits)
     return State(perm=perm, tuples=frozenset(rels))
+
+
+def _seed_groups(digits: tuple[int, ...], t: int, pi: Perm | None) -> dict[Perm, int]:
+    """Initial masks of a t-1 digit prefix by tracked order, read off the chain rule.
+
+    The ``_rule`` walk starts at tracked order ``pi`` with the head cells as
+    the tracked cells.  Relations are kept doubled: a head cell with c head
+    cells under it carries the code 2c+1, between relations c and c+1, and
+    a later cell of relation x carries 2x.  The new cell takes every
+    relation y in [ceil(lo/2), floor(hi/2)] between its window neighbours'
+    codes lo and hi (0 and 2t-2 when absent).  After t-1 digits every head
+    cell has dropped out and the codes halve into relation tuples.  With no
+    ``pi`` the masks are unions, by tracked order, over every head order.
+    """
+    _check_prefix(digits, t, pi)
+    groups: dict[Perm, int] = {}
+    for perm in head_permutations(t) if pi is None else (pi,):
+        codes = {tuple(2 * (t - 2 - perm.index(h)) + 1 for h in range(1, t))}
+        for d in digits:
+            _, perm, above, below, _ = _rule(perm, d)
+            codes = {
+                tup[1:] + (2 * y,)
+                for tup in codes
+                for y in range(
+                    (tup[below - 1] + 1) // 2 if below is not None else 0,
+                    (tup[above - 1] if above is not None else 2 * t - 2) // 2 + 1,
+                )
+            }
+        mask = groups.get(perm, 0)
+        for tup in codes:
+            mask |= 1 << _tuple_index([c // 2 for c in tup], t)
+        groups[perm] = mask
+    return groups
 
 
 @lru_cache(maxsize=None)
 def _initial_cached(digits: tuple[int, ...], t: int, pi: Perm | None) -> State:
-    return state_oracle(digits, t, pi)
+    return tuple.__new__(State, _one_order(_seed_groups(digits, t, pi), digits))
 
 
 def initial_state(digits: Sequence[int], t: int, pi: Perm | None = None) -> State:
-    """First state of a word, brute-forced over the 2t-2 leading cells."""
+    """First state of a word: the chain rule run over its t-1 head digits.
+
+    With no ``pi`` the prefix must pin the tracked order under every head
+    order; prefixes that leave it open raise.
+    """
     digits = tuple(digits)
     if len(digits) != t - 1:
         raise ValueError(f"initial state needs exactly t-1 = {t - 1} digits, got {len(digits)}")
@@ -314,14 +412,19 @@ def initial_state(digits: Sequence[int], t: int, pi: Perm | None = None) -> Stat
 
 def initial_states(digits: Sequence[int], t: int) -> frozenset[State]:
     """Every initial state a digit prefix admits, one per tracked order."""
+    digits = tuple(digits)
     if len(digits) != t - 1:
         raise ValueError(f"initial states need exactly t-1 = {t - 1} digits, got {len(digits)}")
-    return frozenset(State(perm=p, tuples=r) for p, r in _oracle_groups(digits, t, None).items())
+    return frozenset(tuple.__new__(State, item) for item in _seed_groups(digits, t, None).items())
 
 
 @lru_cache(maxsize=None)
 def reachable_states(t: int) -> frozenset[State]:
-    """Closure of every initial state under the successor rule."""
+    """Closure of every initial state under the successor rule.
+
+    The walk calls the uncached rule, so the closure leaves nothing in the
+    ``successor`` cache.
+    """
     frontier: set[State] = set()
     for prefix in itertools.product(range(t), repeat=t - 1):
         frontier |= initial_states(prefix, t)
@@ -330,7 +433,7 @@ def reachable_states(t: int) -> frozenset[State]:
         nxt = set()
         for s in frontier:
             for d in range(t):
-                s2 = successor(s, d)
+                s2 = _successor(s, d)
                 if s2 not in seen:
                     seen.add(s2)
                     nxt.add(s2)

@@ -121,6 +121,10 @@ def test_count_range_output_and_method_conflict(capsys):
     code, payload = run_json(capsys, "count", "--t", "3", "--range", "6:7", "--method", "rankings")
     assert code == 2 and payload["ok"] is False
     assert "--range" in payload["error"] and "--method rankings" in payload["error"]
+    # so is a single length next to a range
+    code, payload = run_json(capsys, "count", "--t", "3", "--n", "5", "--range", "6:6")
+    assert code == 2 and payload["ok"] is False
+    assert "--range" in payload["error"] and "--n 5" in payload["error"]
     # a reversed range and a third bound are refused, not read as empty or as a crash
     for bad in ("9:6", "6:7:8"):
         code, payload = run_json(capsys, "count", "--t", "3", "--range", bad)

@@ -1,4 +1,5 @@
 import copy
+import functools
 import itertools
 import pickle
 from math import comb
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+import lrm.states
 from lrm.states import (
     State,
     chain,
@@ -39,8 +41,10 @@ def test_initial_state_reference_prefixes():
 
 def test_initial_state_ambiguous_prefix_needs_head_order():
     # after digits (1, 1) the tracked order depends on the head order
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not determine the tracked order"):
         initial_state((1, 1), 3)
+    with pytest.raises(ValueError, match="does not determine the tracked order"):
+        state_oracle((1, 1), 3)
     both = initial_states((1, 1), 3)
     assert {s.perm for s in both} == {(1, 2), (2, 1)}
     assert initial_state((1, 1), 3, pi=(1, 2)).perm == (1, 2)
@@ -200,6 +204,13 @@ def test_oracle_guards():
         state_oracle((0,) * 9, 3)  # 11 cells
     with pytest.raises(ValueError):
         state_oracle((0,), 3)  # below t-1 digits
+    for bad in ((0, 3), (-1, 0)):  # digits outside 0..t-1
+        with pytest.raises(ValueError, match="digits must lie in 0..2"):
+            state_oracle(bad, 3)
+        with pytest.raises(ValueError, match="digits must lie in 0..2"):
+            initial_state(bad, 3, (1, 2))
+        with pytest.raises(ValueError, match="digits must lie in 0..2"):
+            initial_states(bad, 3)
     for pi in ((1, 1), (1,), (1, 2, 3)):  # not a permutation of 1..t-1
         with pytest.raises(ValueError, match="head order"):
             state_oracle((1, 1), 3, pi)
@@ -231,14 +242,112 @@ def test_reachable_states_sizes():
     assert len(reachable_states(5)) == 38_064
 
 
+@functools.cache
+def oracle_initial_states(t):
+    """``state_oracle`` on every t-1 digit prefix under every head order."""
+    return {
+        (prefix, pi): state_oracle(prefix, t, pi)
+        for prefix in itertools.product(range(t), repeat=t - 1)
+        for pi in head_permutations(t)
+    }
+
+
+def oracle_groups(t):
+    """Per prefix, the oracle's relation tuples by tracked order over every head order."""
+    groups = {}
+    for (prefix, _), state in oracle_initial_states(t).items():
+        groups.setdefault(prefix, {}).setdefault(state.perm, set()).update(state.tuples)
+    return groups
+
+
+@pytest.mark.parametrize("t", [2, 3, 4, 5])
+def test_chain_seeded_initial_states_match_oracle(t):
+    for (prefix, pi), state in oracle_initial_states(t).items():
+        assert initial_state(prefix, t, pi) == state
+    for prefix, groups in oracle_groups(t).items():
+        oracle = frozenset(State(perm, tuples) for perm, tuples in groups.items())
+        assert initial_states(prefix, t) == oracle
+        if len(oracle) == 1:
+            assert {initial_state(prefix, t)} == oracle
+        else:
+            with pytest.raises(ValueError, match="does not determine the tracked order"):
+                initial_state(prefix, t)
+
+
+def window_neighbours(perm, digit):
+    """New order and the block positions above and below the new cell (None when absent)."""
+    t = len(perm) + 1
+    insert_at = (t - 1) - digit
+    window = list(perm[:insert_at]) + [t] + list(perm[insert_at:])
+    above = window[insert_at - 1] if insert_at > 0 else None
+    below = window[insert_at + 1] if insert_at + 1 < len(window) else None
+    return tuple(lbl - 1 for lbl in window if lbl != 1), above, below
+
+
+def bit_successor(state, digit):
+    """Slow reference: the successor mask as the OR of one run image per set bit."""
+    perm, mask = state
+    t = len(perm) + 1
+    new_perm, above, below = window_neighbours(perm, digit)
+    out = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        index = low.bit_length() - 1
+        lo = index // t ** (t - 1 - below) % t if below is not None else 0
+        hi = index // t ** (t - 1 - above) % t if above is not None else t - 1
+        if lo <= hi:
+            out |= ((1 << (hi - lo + 1)) - 1) << (index % t ** (t - 2) * t + lo)
+    return tuple.__new__(State, (new_perm, out))
+
+
+@pytest.mark.parametrize("t", [2, 3, 4, 5])
+def test_successor_and_closure_match_per_bit_reference(t):
+    # seeds from the oracle, stepped by the per-bit reference
+    frontier = {State(perm, tuples) for groups in oracle_groups(t).values() for perm, tuples in groups.items()}
+    seen = set(frontier)
+    while frontier:
+        nxt = set()
+        for state in frontier:
+            for digit in range(t):
+                image = bit_successor(state, digit)
+                assert successor(state, digit) == image
+                if image not in seen:
+                    seen.add(image)
+                    nxt.add(image)
+        frontier = nxt
+    assert reachable_states(t) == seen
+
+
+def test_cleared_caches_leave_states_cold():
+    def clear():
+        # every cache the module keeps, found as the benchmark finds them
+        for value in vars(lrm.states).values():
+            if hasattr(value, "cache_clear") and getattr(value, "__module__", None) == lrm.states.__name__:
+                value.cache_clear()
+
+    def filled_globals():
+        return [
+            name
+            for name, value in vars(lrm.states).items()
+            if not name.startswith("__") and isinstance(value, (dict, set)) and value
+        ]
+
+    clear()
+    reachable_states(4)
+    # the closure walks the uncached rule
+    assert successor.cache_info().currsize == 0 and lrm.states._rule.cache_info().currsize > 0
+    chain(initial_state((1, 2, 3), 4, (3, 2, 1)), (0, 1, 2, 3))
+    assert successor.cache_info().currsize == 4
+    clear()
+    assert lrm.states._rule.cache_info().currsize == 0
+    assert filled_globals() == []
+
+
 def set_successor(state, digit):
     """The successor rule on explicit tuple sets, one tuple at a time."""
     t = state.t
-    insert_at = (t - 1) - digit
-    window = list(state.perm[:insert_at]) + [t] + list(state.perm[insert_at:])
-    above = window[insert_at - 1] if insert_at > 0 else None
-    below = window[insert_at + 1] if insert_at + 1 < len(window) else None
-    new_perm = tuple(lbl - 1 for lbl in window if lbl != 1)
+    new_perm, above, below = window_neighbours(state.perm, digit)
     new_tuples = set()
     for tup in state.tuples:
         lo = tup[below - 1] if below is not None else 0
