@@ -425,6 +425,8 @@ def reachable_states(t: int) -> frozenset[State]:
     The walk calls the uncached rule, so the closure leaves nothing in the
     ``successor`` cache.
     """
+    if not 2 <= t <= 5:
+        raise ValueError(f"state closures are kept enumerable for t in [2, 5], got {t}")
     frontier: set[State] = set()
     for prefix in itertools.product(range(t), repeat=t - 1):
         frontier |= initial_states(prefix, t)
@@ -441,44 +443,65 @@ def reachable_states(t: int) -> frozenset[State]:
     return frozenset(seen)
 
 
+def _step(landings: Iterable[State], digit: int) -> set[State]:
+    """The distinct states a set of states lands in after one digit."""
+    return {successor(s, digit) for s in landings}
+
+
 def pattern_forces_complete(pattern: Sequence[int], t: int) -> tuple[bool, State | None]:
     """Whether a digit factor always lands in a complete state.
 
-    Runs the pattern from every reachable state.  Returns the landing state
-    as well when it is unique.
+    Steps the set of reachable states through the pattern one digit at a
+    time.  Returns the landing state as well when it is unique.
     """
     pattern = tuple(pattern)
     if len(pattern) < t:
         raise ValueError(f"forcing patterns need length >= t = {t}, got {len(pattern)}")
     if any(not 0 <= d < t for d in pattern):
         raise ValueError(f"pattern digits must lie in 0..{t - 1}: {pattern}")
-    landings = set()
-    for s in reachable_states(t):
-        end = chain(s, pattern)
-        if not is_complete(end):
-            return False, None
-        landings.add(end)
+    landings = reachable_states(t)
+    for d in pattern:
+        landings = _step(landings, d)
+    if not landings <= complete_states(t):
+        return False, None
     landing = next(iter(landings)) if len(landings) == 1 else None
     return True, landing
 
 
 def find_completing_pattern(t: int, max_len: int) -> set[tuple[int, ...]]:
-    """All forcing patterns of length t..max_len with growth rate below t."""
-    from .census import factor_automaton, spectral_radius
+    """All forcing patterns of length t..max_len; each has growth rate below t.
 
+    One depth-first walk over digit prefixes.  A prefix carries the set of
+    distinct states it lands in from the reachable states, and each digit
+    steps that set with ``successor``.  A prefix of length >= t whose
+    landings are all complete is forcing, and so is every extension of it:
+    complete states are closed under the successor rule.  Its subtree up to
+    ``max_len`` is emitted without stepping.
+
+    Growth rate below t is a theorem, not a filter.  Let p be any factor of
+    length r >= 1 and cut a word of length m into m // r disjoint blocks of
+    r digits and m % r loose digits.  A word that avoids p has no block
+    equal to p, so at most ``(t^r - 1)^(m // r) * t^(m % r)`` words avoid p,
+    and their growth rate is at most ``(t^r - 1)^(1/r) < t``.
+    """
     if t > 4:
         raise ValueError(f"pattern search is kept enumerable for t <= 4, got {t}")
     if max_len > 8:
         raise ValueError(f"pattern search is capped at length 8, got {max_len}")
-    found = set()
-    for r in range(t, max_len + 1):
-        for pattern in itertools.product(range(t), repeat=r):
-            forces, _ = pattern_forces_complete(pattern, t)
-            if not forces:
-                continue
-            beta = spectral_radius(factor_automaton(pattern, t).matrix)
-            if beta < t:
-                found.add(pattern)
+    complete = complete_states(t)
+    found: set[tuple[int, ...]] = set()
+
+    def walk(prefix: tuple[int, ...], landings: set[State]) -> None:
+        for d in range(t):
+            word = prefix + (d,)
+            after = _step(landings, d)
+            if len(word) >= t and after <= complete:
+                for k in range(max_len - len(word) + 1):
+                    found.update(word + tail for tail in itertools.product(range(t), repeat=k))
+            elif len(word) < max_len:
+                walk(word, after)
+
+    walk((), reachable_states(t))
     return found
 
 

@@ -168,6 +168,9 @@ def test_pattern_verdicts(capsys):
     assert code == 1 and payload["forces_complete"] is False
     code, payload = run_json(capsys, "pattern", "--t", "3", "--max-len", "4")
     assert code == 0 and payload["count"] == 12 and "2,0,1,1" in payload["patterns"]
+    # the factor automaton of 0,1 has a defective eigenvalue; the search never asks for it
+    code, payload = run_json(capsys, "pattern", "--t", "2", "--max-len", "3")
+    assert code == 0 and payload["count"] == 8 and payload["patterns"][:2] == ["0,0,1", "0,1"]
 
 
 def test_gray_and_validate(capsys, tmp_path):
@@ -218,6 +221,9 @@ def test_domain_errors_exit_2(capsys):
     assert code == 2 and payload["ok"] is False and "window size" in payload["error"]
     code, payload = run_json(capsys, "gray", "--n", "0", "--w", "0")
     assert code == 2 and payload["ok"] is False and "n >= 2" in payload["error"]
+    for argv in (("--t", "1", "--pattern", "0,0"), ("--t", "1", "--max-len", "3"), ("--t", "0", "--max-len", "3")):
+        code, payload = run_json(capsys, "pattern", *argv)
+        assert code == 2 and payload["ok"] is False and "t in [2, 5]" in payload["error"]
 
 
 def test_usage_errors_exit_2():

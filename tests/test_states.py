@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import lrm.states
+from lrm.census import factor_automaton, spectral_radius
 from lrm.states import (
     State,
     chain,
@@ -416,6 +417,78 @@ def test_find_completing_pattern_t3():
         (2, 2, 0, 0),
         (2, 2, 0, 1),
     }
+
+
+def forces_by_chains(pattern, t):
+    """The per-state reference: the pattern run on its own from every reachable state."""
+    return all(is_complete(chain(s, pattern)) for s in reachable_states(t))
+
+
+@functools.cache
+def reference_search(t, max_len, rate_filter):
+    """The per-pattern loop: every pattern tested alone, then the numeric growth-rate filter."""
+    found = set()
+    for r in range(t, max_len + 1):
+        for pattern in itertools.product(range(t), repeat=r):
+            if not forces_by_chains(pattern, t):
+                continue
+            if rate_filter and not spectral_radius(factor_automaton(pattern, t).matrix) < t:
+                continue
+            found.add(pattern)
+    return frozenset(found)
+
+
+@pytest.mark.parametrize("t, top, rate_filter", [(2, 8, False), (3, 6, True), (4, 6, True)])
+def test_find_completing_pattern_matches_per_pattern_loop(t, top, rate_filter):
+    # equality with the filtered reference puts every found growth rate below t;
+    # the power iteration fails on the avoidance matrix of 0,1, so t=2 goes unfiltered
+    reference = reference_search(t, top, rate_filter)
+    for max_len in range(t, top + 1):
+        assert find_completing_pattern(t, max_len) == {p for p in reference if len(p) <= max_len}
+
+
+def test_pattern_forces_complete_matches_per_state_chains():
+    for r in (3, 4, 5):
+        for pattern in itertools.product(range(3), repeat=r):
+            landings = {chain(s, pattern) for s in reachable_states(3)}
+            forces = all(map(is_complete, landings))
+            landing = next(iter(landings)) if forces and len(landings) == 1 else None
+            assert pattern_forces_complete(pattern, 3) == (forces, landing)
+
+
+def test_find_completing_pattern_counts():
+    assert len(find_completing_pattern(2, 6)) == 114
+    assert len(find_completing_pattern(3, 8)) == 6_000
+    assert len(find_completing_pattern(4, 7)) == 1_440
+    assert len(find_completing_pattern(4, 8)) == 10_800
+
+
+def test_avoiding_words_obey_the_block_bound():
+    # no block of a word avoiding p equals p, so each of the m // r blocks has t^r - 1 choices
+    for t in (2, 3, 4):
+        for r in (1, 2, 3, 4):
+            for pattern in itertools.product(range(t), repeat=r):
+                automaton = factor_automaton(pattern, t)
+                for m in range(3 * r + 1):
+                    assert automaton.avoiding_count(m) <= (t**r - 1) ** (m // r) * t ** (m % r)
+
+
+def test_forcing_is_closed_under_extension():
+    found = find_completing_pattern(3, 5)
+    assert found
+    for pattern in found:
+        for d in range(3):
+            assert forces_by_chains(pattern + (d,), 3)
+            assert forces_by_chains((d,) + pattern, 3)
+
+
+def test_pattern_search_rejects_t_outside_state_range():
+    for t in (-1, 0, 1, 6):
+        with pytest.raises(ValueError, match=f"got {t}"):
+            reachable_states(t)
+    for t in (0, 1):
+        with pytest.raises(ValueError, match=r"t in \[2, 5\]"):
+            find_completing_pattern(t, 3)
 
 
 def test_monotone_tuple_counts():
