@@ -13,15 +13,15 @@ integers.
 
 from __future__ import annotations
 
-import graphlib
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
-from typing import Iterator, Sequence
+from operator import eq, lt
+from typing import Iterable, Iterator, Sequence
 
 from . import states as st
-from .permutations import MAX_WINDOW, MIN_WINDOW, Perm, rank_to_permutation, symbol_table, window_digit
+from .permutations import MAX_WINDOW, MIN_WINDOW, Perm, SymbolTable, rank_to_permutation, symbol_table
 
 
 @dataclass(frozen=True)
@@ -33,8 +33,8 @@ class BaseWord:
         size = factorial(self.t)
         if len(self.symbols) < 1:
             raise ValueError("empty base word")
-        bad = [s for s in self.symbols if not 1 <= s <= size]
-        if bad:
+        if min(self.symbols) < 1 or max(self.symbols) > size:
+            bad = [s for s in self.symbols if not 1 <= s <= size]
             raise ValueError(f"symbols out of range 1..{size}: {bad}")
 
     @classmethod
@@ -58,8 +58,8 @@ class Codeword:
             raise ValueError(f"window size must be in [{MIN_WINDOW}, {MAX_WINDOW}], got {self.t}")
         if len(self.digits) < 1:
             raise ValueError("empty codeword")
-        bad = [d for d in self.digits if not 0 <= d < self.t]
-        if bad:
+        if min(self.digits) < 0 or max(self.digits) >= self.t:
+            bad = [d for d in self.digits if not 0 <= d < self.t]
             raise ValueError(f"digits out of range 0..{self.t - 1}: {bad}")
 
     @classmethod
@@ -74,81 +74,89 @@ class Codeword:
 
 
 def demodulate(profile: Sequence[int], t: int) -> BaseWord:
-    """Read every cyclic t-window of a charge profile as a symbol."""
+    """Read every cyclic t-window of a charge profile as a symbol.
+
+    The first window is ranked in full.  Each later window shares its t-1
+    oldest cells with the window before, so its symbol is ``after`` of the
+    previous symbol at its digit: the number of those cells below the
+    newest one.  Equal levels inside one window raise ``ValueError``;
+    equal levels at cyclic distance t or more never share a window.
+    """
     levels = tuple(profile)
     n = len(levels)
     if n < t:
         raise ValueError(f"need at least t = {t} cells, got {n}")
     table = symbol_table(t)
     doubled = levels + levels[: t - 1]
-    return BaseWord(t, tuple(table.symbol(rank_to_permutation(doubled[i : i + t])) for i in range(n)))
+    first = table.symbol(rank_to_permutation(doubled[:t]))
+    # windows 1..n-1: their newest cells, and the cells g = 1..t-1 places older
+    newest = doubled[t:]
+    older = [doubled[t - g : n + t - 1 - g] for g in range(1, t)]
+    if any(any(map(eq, run, newest)) for run in older):
+        for i in range(1, n):
+            rank_to_permutation(doubled[i : i + t])  # raises at the first window with a repeated level
+    digits = map(sum, zip(*(map(lt, run, newest) for run in older)))
+    return BaseWord(t, _read_symbols(table, first, digits))
 
 
-def _head_order(perm: Perm) -> Perm:
-    """Order of window cells 1..t-1 induced by a window permutation."""
-    t = len(perm)
-    return tuple(lbl for lbl in perm if lbl != t)
-
-
-def _tail_order(perm: Perm) -> Perm:
-    """Order of window cells 2..t, relabelled to 1..t-1."""
-    return tuple(lbl - 1 for lbl in perm if lbl != 1)
+def _read_symbols(table: SymbolTable, first: int, digits: Iterable[int]) -> tuple[int, ...]:
+    """Symbols of a run of windows: the first one, then one per digit read."""
+    after = table.after
+    sym = first
+    symbols = [sym]
+    for d in digits:
+        sym = after[sym][d]
+        symbols.append(sym)
+    return tuple(symbols)
 
 
 def window_consistent(base: BaseWord) -> bool:
     """Adjacent windows must agree on the order of their t-1 shared cells."""
     table = symbol_table(base.t)
-    perms = [table.permutation(s) for s in base.symbols]
-    n = len(perms)
-    return all(_tail_order(perms[i]) == _head_order(perms[(i + 1) % n]) for i in range(n))
+    heads = list(map(table.head.__getitem__, base.symbols))
+    return list(map(table.tail.__getitem__, base.symbols)) == heads[1:] + heads[:1]
 
 
 def encode(base: BaseWord) -> Codeword:
     """Map each symbol to its window digit; rejects inconsistent base words."""
     if not window_consistent(base):
         raise ValueError("adjacent windows disagree on shared cells")
-    table = symbol_table(base.t)
-    return Codeword(base.t, tuple(window_digit(table.permutation(s)) for s in base.symbols))
-
-
-def constraint_edges(base: BaseWord) -> set[tuple[int, int]]:
-    """Union of the strict orders all windows impose; edge (u, v) means u above v."""
-    table = symbol_table(base.t)
-    n = len(base.symbols)
-    edges = set()
-    for i, sym in enumerate(base.symbols):
-        perm = table.permutation(sym)
-        for hi, lo in itertools.pairwise(perm):
-            edges.add(((i + hi - 1) % n, (i + lo - 1) % n))
-    return edges
+    return Codeword(base.t, tuple(map(symbol_table(base.t).digit.__getitem__, base.symbols)))
 
 
 def realizable(base: BaseWord) -> tuple[bool, tuple[int, ...] | None]:
     """Whether some charge profile induces the base word, with a witness.
 
-    The window constraints are satisfiable over the integers iff their
-    union is acyclic; contradictory window overlaps show up as 2-cycles, so
-    the one acyclicity test also covers adjacent-window consistency.  The
-    witness assigns each cell its longest downward path length, the
-    smallest integer range possible.
+    Each window orders its cells; the base word is realizable over the
+    integers iff the union of these orders is acyclic.  Contradictory
+    window overlaps show up as 2-cycles, so the one test also covers
+    adjacent-window consistency.  One Kahn pass over the window orders
+    peels cells with nothing left below them; a cell it never reaches lies
+    on a cycle.  The pass also gives each cell its longest downward path
+    length, the witness with the smallest integer range possible.
     """
     n = len(base.symbols)
-    edges = constraint_edges(base)
-    below: dict[int, list[int]] = {v: [] for v in range(n)}
-    sorter: graphlib.TopologicalSorter = graphlib.TopologicalSorter()
-    for v in range(n):
-        sorter.add(v)
-    for u, v in edges:
-        sorter.add(u, v)  # v must get its level before u
-        below[u].append(v)
-    try:
-        order = list(sorter.static_order())
-    except graphlib.CycleError:
+    pairs = symbol_table(base.t).pairs
+    above: list[list[int]] = [[] for _ in range(n)]
+    below_count = [0] * n
+    for i, sym in enumerate(base.symbols):
+        for hi, lo in pairs[sym]:
+            u = (i + hi) % n
+            above[(i + lo) % n].append(u)
+            below_count[u] += 1
+    level = [0] * n
+    ready = [v for v in range(n) if not below_count[v]]
+    for v in ready:  # grows while it is walked
+        up = level[v] + 1
+        for u in above[v]:
+            if level[u] < up:
+                level[u] = up
+            below_count[u] -= 1
+            if not below_count[u]:
+                ready.append(u)
+    if len(ready) < n:
         return False, None
-    level = {}
-    for v in order:
-        level[v] = max((level[u] + 1 for u in below[v]), default=0)
-    return True, tuple(level[v] for v in range(n))
+    return True, tuple(level)
 
 
 # Decoding for t = 3 ----------------------------------------------------------
@@ -213,14 +221,17 @@ def decode_general(word: Codeword) -> set[BaseWord]:
 
     Under each head order pi that ``_legal_heads`` keeps, the digits alone
     fix every window, the t-1 cycle-closing ones included, so each kept pi
-    gives one base word: at most (t-1)! of them.
+    gives one base word: at most (t-1)! of them.  The first window is pi
+    with the newest cell slotted in; each later one is ``after`` of the one
+    before at its digit.
     """
     t, g = word.t, word.digits
     n = len(g)
     if n < 2 * t - 2:
         raise ValueError(f"state-chain decoding needs n >= 2t-2 = {2 * t - 2}, got {n}")
     table = symbol_table(t)
-    return {BaseWord(t, tuple(map(table.symbol, st.windows(pi, g)))) for pi in _legal_heads(g, t)}
+    firsts = (table.symbol(next(st.windows(pi, g))) for pi in _legal_heads(g, t))
+    return {BaseWord(t, _read_symbols(table, first, g[1:])) for first in firsts}
 
 
 def ranking_words(t: int, n: int) -> tuple[set[tuple[int, ...]], set[tuple[int, ...]]]:
@@ -277,7 +288,6 @@ def is_legal(word: Codeword) -> bool:
 __all__ = [
     "BaseWord",
     "Codeword",
-    "constraint_edges",
     "decode3",
     "decode_general",
     "demodulate",

@@ -68,6 +68,14 @@ class SymbolTable:
     order of the one-line permutations; codeword semantics never depend on
     the order, only base-word display does.  Window sizes outside
     [2, 6] are rejected so every table stays enumerable.
+
+    Per-symbol int tables, indexed by symbol (entry 0 unused): ``head`` and
+    ``tail`` give the order of window cells 1..t-1 and of cells 2..t as an
+    index into the lexicographic orders of 1..t-1, ``digit`` the window
+    digit, ``after[s][d]`` the symbol of the next window when it reads
+    digit d (the one whose head order is the tail order of s), and
+    ``pairs[s]`` the 0-based (upper, lower) offsets of each two cells
+    adjacent in the window's order.
     """
 
     def __init__(self, t: int):
@@ -79,6 +87,13 @@ class SymbolTable:
         else:
             self.perms = tuple(itertools.permutations(range(1, t + 1)))
         self._index = {p: s for s, p in enumerate(self.perms, start=1)}
+        order = {p: k for k, p in enumerate(itertools.permutations(range(1, t)))}
+        self.head = (-1,) + tuple(order[tuple(lbl for lbl in p if lbl != t)] for p in self.perms)
+        self.tail = (-1,) + tuple(order[tuple(lbl - 1 for lbl in p if lbl != 1)] for p in self.perms)
+        self.digit = (-1,) + tuple(t - 1 - p.index(t) for p in self.perms)
+        by_head = {(self.head[s], self.digit[s]): s for s in range(1, self.size + 1)}
+        self.after = ((),) + tuple(tuple(by_head[self.tail[s], d] for d in range(t)) for s in range(1, self.size + 1))
+        self.pairs = ((),) + tuple(tuple((hi - 1, lo - 1) for hi, lo in itertools.pairwise(p)) for p in self.perms)
 
     @property
     def size(self) -> int:

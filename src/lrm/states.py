@@ -247,10 +247,52 @@ def successor(state: State, digit: int) -> State:
     return _successor(state, digit)
 
 
+_ChainTable = tuple[dict[State, int], list[State], list[dict[int, int]]]
+
+
+@lru_cache(maxsize=None)
+def _chain_table(t: int) -> _ChainTable:
+    """The transition table ``chain`` grows for window size t.
+
+    A state -> id dict, the states by id, and one row per id mapping each
+    digit a chain has read from that state to the successor's id.  A
+    digit outside 0..t-1 never gets an entry: ``successor`` raises on it.
+    """
+    return {}, [], []
+
+
+def _state_id(table: _ChainTable, state: State) -> int:
+    ids, states, rows = table
+    s = ids.get(state)
+    if s is None:
+        s = ids[state] = len(states)
+        states.append(state)
+        rows.append({})
+    return s
+
+
 def chain(state: State, digits: Iterable[int]) -> State:
+    """The state after consuming a run of digits.
+
+    Walks state ids through the rows of ``_chain_table``; an entry the row
+    lacks is filled from the cached ``successor``, which also rejects a
+    digit outside 0..t-1.  An empty run touches no table.
+    """
+    digits = tuple(digits)
+    if not digits:
+        return state
+    ids, states, rows = table = _chain_table(len(state[0]) + 1)
+    s = ids.get(state)
+    if s is None:
+        s = _state_id(table, state)
+    row = rows[s]
     for d in digits:
-        state = successor(state, d)
-    return state
+        try:
+            s = row[d]
+        except KeyError:
+            s = row[d] = _state_id(table, successor(states[s], d))
+        row = rows[s]
+    return states[s]
 
 
 def windows(pi: Perm, digits: Iterable[int]) -> Iterator[Perm]:
@@ -526,9 +568,41 @@ def wrap_digits(pi: Perm, rel: RelTuple) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
+def _at_most(t: int, length: int, bound: int) -> tuple[int, ...]:
+    """Per index of a length-``length`` relation run, how many of its entries are <= bound."""
+    counts = (0,)
+    for _ in range(length):
+        counts = tuple((x <= bound) + c for x in range(t) for c in counts)
+    return counts
+
+
+@lru_cache(maxsize=None)
+def _wrap_rows(pi: Perm) -> tuple[tuple[int, tuple[int, ...], int], ...]:
+    """``wrap_digits`` under pi as table reads: per window k, its head-only part and a count table.
+
+    Digit k is the number of older head cells below head cell k plus the
+    count of entries <= below[k] in the relation run from position k on,
+    the last t-k base-t digits of the tuple's index.
+    """
+    t = len(pi) + 1
+    below = [0] * t
+    for rank, h in enumerate(pi):
+        below[h] = t - 2 - rank
+    return tuple(
+        (sum(below[m] < below[k] for m in range(1, k)), _at_most(t, t - k, below[k]), t ** (t - k)) for k in range(1, t)
+    )
+
+
+@lru_cache(maxsize=None)
 def achievable_tails(state: State, pi: Perm) -> frozenset[tuple[int, ...]]:
-    """Distinct wrap-digit tails a final state admits under a head order."""
-    return frozenset(wrap_digits(pi, rel) for rel in state.tuples)
+    """Distinct wrap-digit tails a final state admits under a head order.
+
+    ``wrap_digits`` over the state's tuples, read off per-pi tables.
+    """
+    rows = _wrap_rows(pi)
+    return frozenset(
+        tuple(older + counts[i % size] for older, counts, size in rows) for i in _set_bits(state.mask)
+    )
 
 
 @dataclass(frozen=True)
@@ -549,6 +623,7 @@ def tail_table(t: int) -> TailTable:
     return TailTable(t=t, tails=tails)
 
 
+@lru_cache(maxsize=None)
 def head_permutations(t: int) -> tuple[Perm, ...]:
     """All orders of the t-1 head cells, as rank permutations."""
     return tuple(itertools.permutations(range(1, t)))

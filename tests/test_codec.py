@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from lrm.codec import (
     realizable,
     window_consistent,
 )
+from lrm.permutations import rank_to_permutation, symbol_table
 
 profiles = hst.integers(min_value=4, max_value=8).flatmap(
     lambda n: hst.permutations(list(range(n)))
@@ -54,6 +56,93 @@ def test_encode_rejects_inconsistent_words():
     assert not window_consistent(bad)
     with pytest.raises(ValueError):
         encode(bad)
+
+
+def _windows_one_by_one(profile, t):
+    """Slow reference for ``demodulate``: every window ranked on its own."""
+    n = len(profile)
+    doubled = tuple(profile) + tuple(profile[: t - 1])
+    return tuple(symbol_table(t).symbol(rank_to_permutation(doubled[i : i + t])) for i in range(n))
+
+
+def test_demodulate_matches_window_by_window_ranking():
+    rng = random.Random(11)
+    for t in (2, 3, 4, 5, 6):
+        for n in (t, t + 1, 2 * t, 40):
+            for _ in range(50):
+                # narrow level ranges repeat levels at cyclic distance >= t
+                profile = rng.sample(range(4 * n), n) if rng.random() < 0.5 else [rng.randrange(n) for _ in range(n)]
+                try:
+                    expected = _windows_one_by_one(profile, t)
+                except ValueError as exc:
+                    with pytest.raises(ValueError, match=str(exc).replace("(", r"\(").replace(")", r"\)")):
+                        demodulate(profile, t)
+                else:
+                    assert demodulate(profile, t).symbols == expected
+
+
+def test_demodulate_duplicate_rule():
+    # equal levels inside one window have no rank order
+    for profile in [(1, 5, 1, 2, 6, 4), (1, 5, 3, 2, 6, 1), (7, 7, 1, 2, 3, 4)]:
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            demodulate(profile, 3)
+    # equal levels at cyclic distance >= t never share a window
+    assert demodulate((1, 5, 3, 1, 6, 4), 3).symbols == (5, 1, 4, 5, 1, 4)
+    assert demodulate((1, 5, 3, 1, 6, 4), 3) == BaseWord(3, _windows_one_by_one((1, 5, 3, 1, 6, 4), 3))
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        demodulate((1, 5, 3, 1, 6, 4), 4)
+
+
+def _consistent_one_by_one(base):
+    """Slow reference for ``window_consistent``: the shared cells' orders as tuples."""
+    t = base.t
+    perms = [symbol_table(t).permutation(s) for s in base.symbols]
+    heads = [tuple(lbl for lbl in p if lbl != t) for p in perms]
+    tails = [tuple(lbl - 1 for lbl in p if lbl != 1) for p in perms]
+    return all(tails[i] == heads[(i + 1) % len(perms)] for i in range(len(perms)))
+
+
+@pytest.mark.parametrize("t, top", [(2, 8), (3, 5), (4, 4)])
+def test_window_consistent_matches_shared_cell_orders(t, top):
+    for n in range(1, top + 1):
+        for symbols in itertools.product(range(1, symbol_table(t).size + 1), repeat=n):
+            base = BaseWord(t, symbols)
+            assert window_consistent(base) == _consistent_one_by_one(base)
+
+
+def _check_witness(base, ok, witness):
+    if ok:
+        assert demodulate(witness, base.t) == base
+        assert min(witness) == 0
+    else:
+        assert witness is None
+
+
+def test_realizable_matches_ranking_oracle_t3():
+    realizable_words = ranking_words(3, 5)[1]
+    for symbols in itertools.product(range(1, 7), repeat=5):
+        base = BaseWord(3, symbols)
+        ok, witness = realizable(base)
+        assert ok == (symbols in realizable_words)
+        _check_witness(base, ok, witness)
+
+
+def test_realizable_matches_ranking_oracle_t4():
+    realizable_words = ranking_words(4, 6)[1]
+    rng = random.Random(4)
+    sample = [tuple(rng.randint(1, 24) for _ in range(6)) for _ in range(2000)]
+    for symbols in sorted(realizable_words) + sample:
+        base = BaseWord(4, symbols)
+        ok, witness = realizable(base)
+        assert ok == (symbols in realizable_words)
+        _check_witness(base, ok, witness)
+
+
+def test_realizable_rejects_words_shorter_than_a_window():
+    # a window that wraps onto its own cells orders a cell against itself
+    for t, n in [(2, 1), (3, 1), (3, 2), (4, 3)]:
+        for symbols in itertools.product(range(1, symbol_table(t).size + 1), repeat=n):
+            assert realizable(BaseWord(t, symbols)) == (False, None)
 
 
 def test_realizable_verdicts():

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as hst
@@ -109,3 +111,18 @@ def test_push_sets_the_two_touched_digits(profile, i):
     digits = encode(demodulate(pushed, 2)).digits
     n = len(profile)
     assert (digits[(i - 1) % n], digits[i]) == (1, 0)
+
+
+@pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
+def test_symbol_table_int_tables(t):
+    table = symbol_table(t)
+    orders = list(itertools.permutations(range(1, t)))
+    for symbol in range(1, table.size + 1):
+        perm = table.permutation(symbol)
+        assert orders[table.head[symbol]] == tuple(lbl for lbl in perm if lbl != t)
+        assert orders[table.tail[symbol]] == tuple(lbl - 1 for lbl in perm if lbl != 1)
+        assert table.digit[symbol] == window_digit(perm)
+        assert [(perm[k] - 1, perm[k + 1] - 1) for k in range(t - 1)] == list(table.pairs[symbol])
+        for digit, nxt in enumerate(table.after[symbol]):
+            # the next window keeps this window's t-1 newest cells and reads the digit
+            assert table.head[nxt] == table.tail[symbol] and table.digit[nxt] == digit

@@ -2,6 +2,7 @@ import copy
 import functools
 import itertools
 import pickle
+import random
 from math import comb
 
 import pytest
@@ -12,6 +13,7 @@ import lrm.states
 from lrm.census import factor_automaton, spectral_radius
 from lrm.states import (
     State,
+    achievable_tails,
     chain,
     complete_states,
     find_completing_pattern,
@@ -334,15 +336,77 @@ def test_cleared_caches_leave_states_cold():
             if not name.startswith("__") and isinstance(value, (dict, set)) and value
         ]
 
+    def table_rows():
+        ids, states, rows = lrm.states._chain_table(4)
+        return sum(entry is not None for row in rows for entry in row)
+
     clear()
     reachable_states(4)
     # the closure walks the uncached rule
     assert successor.cache_info().currsize == 0 and lrm.states._rule.cache_info().currsize > 0
     chain(initial_state((1, 2, 3), 4, (3, 2, 1)), (0, 1, 2, 3))
     assert successor.cache_info().currsize == 4
+    assert table_rows() == 4
     clear()
     assert lrm.states._rule.cache_info().currsize == 0
+    assert lrm.states._chain_table.cache_info().currsize == 0
+    assert table_rows() == 0
     assert filled_globals() == []
+
+
+def fold_successor(state, digits):
+    """Slow reference for ``chain``: the uncached rule, one digit at a time."""
+    for d in digits:
+        state = lrm.states._successor(state, d)
+    return state
+
+
+@pytest.mark.parametrize("t", [3, 4, 5])
+def test_chain_matches_uncached_fold(t):
+    rng = random.Random(f"chain:{t}")
+    for pi in head_permutations(t):
+        for k in range(6):
+            if k == 3:  # a cold table and successor cache in the middle of the runs
+                lrm.states._chain_table.cache_clear()
+                successor.cache_clear()
+            start = initial_state(tuple(rng.randrange(t) for _ in range(t - 1)), t, pi)
+            digits = [rng.randrange(t) for _ in range(rng.randint(0, 500))]
+            landing = chain(start, digits)
+            assert landing == fold_successor(start, digits)
+            assert type(landing) is State
+            # a run split in two lands where the whole run does
+            cut = rng.randint(0, len(digits))
+            assert chain(chain(start, digits[:cut]), iter(digits[cut:])) == landing
+
+
+def test_chain_on_an_empty_run_touches_no_table():
+    start = initial_state((0, 1), 3, (1, 2))
+    before = lrm.states._chain_table.cache_info()
+    assert chain(start, ()) is start
+    assert chain(start, iter([])) is start
+    assert lrm.states._chain_table.cache_info() == before
+
+
+def test_chain_rejects_digits_out_of_range():
+    start = initial_state((0, 1), 3, (1, 2))
+    chain(start, (0, 1, 2, 2))  # fill some rows first
+    for digits, bad in [((0, 3), 3), ((0, -1), -1), ((1, 300), 300), ((0, 1, 2, -5), -5), ((-1,), -1)]:
+        with pytest.raises(ValueError, match=f"digit out of range 0..2: {bad}$"):
+            chain(start, digits)
+
+
+@pytest.mark.parametrize("t", [2, 3, 4])
+def test_achievable_tails_match_wrap_digits(t):
+    for state in complete_states(t) | reachable_states(t):
+        for pi in head_permutations(t):
+            assert achievable_tails(state, pi) == frozenset(wrap_digits(pi, rel) for rel in state.tuples)
+
+
+def test_achievable_tails_match_wrap_digits_t5_sample():
+    rng = random.Random(5)
+    for state in rng.sample(sorted(reachable_states(5)), 200):
+        for pi in head_permutations(5):
+            assert achievable_tails(state, pi) == frozenset(wrap_digits(pi, rel) for rel in state.tuples)
 
 
 def set_successor(state, digit):
