@@ -12,7 +12,6 @@ from .census import (
     CountReport,
     DEFAULT_PATTERNS,
     FactorAutomaton,
-    SpectralError,
     containing_count,
     count_by_automaton,
     count_by_legality,

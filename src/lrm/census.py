@@ -15,9 +15,9 @@ import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
-from math import factorial, sqrt
-from operator import mul
+from functools import cached_property, lru_cache
+from math import factorial
+from operator import index, mul
 from typing import Iterable, Sequence
 
 from . import states as st
@@ -31,11 +31,6 @@ DEFAULT_PATTERNS: dict[int, tuple[int, ...]] = {
 
 _DEFAULT_WORD_BUDGET = 5_000_000
 _DEFAULT_RANKING_BUDGET = factorial(10)
-
-# Power iteration: Rayleigh-quotient tolerance, iteration cap, cross-check steps.
-_TOL = 1e-10
-_MAX_ITER = 100_000
-_RATIO_STEPS = 60
 
 
 def enumeration_budget(default: int) -> int:
@@ -67,6 +62,11 @@ class FactorAutomaton:
         for _ in range(m):
             vec = _step(vec, self.matrix)
         return sum(vec)
+
+    @cached_property
+    def growth_rate(self) -> float:
+        """Growth rate of the avoiding words: the matrix's dominant eigenvalue."""
+        return spectral_radius(self.matrix)
 
 
 def _step(vec: Sequence, rows: Sequence[Sequence]) -> list:
@@ -109,58 +109,56 @@ def containing_count(pattern: Sequence[int], t: int, m: int) -> int:
     return t**m - automaton.avoiding_count(m)
 
 
-class SpectralError(RuntimeError):
-    """Power iteration failed; ``fallback`` carries the ratio estimate."""
+def _exceeds(rows: list[list[int]], num: int, den: int) -> bool:
+    """Whether num/den > rho(A), for A >= 0: all leading principal minors of num*I - den*A are positive.
 
-    def __init__(self, message: str, fallback: float):
-        super().__init__(f"{message} (ratio fallback {fallback!r})")
-        self.fallback = fallback
-
-
-def _power_ratio(matrix: Sequence[Sequence[float]]) -> float:
-    """Growth ratio of total path counts after _RATIO_STEPS steps, in exact integers."""
-    rows = [[int(x) for x in row] for row in matrix]
-    vec = [1] * len(rows)
-    for _ in range(_RATIO_STEPS):
-        vec = _step(vec, rows)
-    total = sum(vec)
-    return sum(_step(vec, rows)) / total if total else 0.0
+    That Z-matrix is then a nonsingular M-matrix (Berman & Plemmons,
+    Nonnegative Matrices in the Mathematical Sciences, Thm 6.2.3).  One
+    fraction-free (Bareiss) elimination: pivot k is the k-th leading minor.
+    """
+    m = [[(num if i == j else 0) - den * a for j, a in enumerate(row)] for i, row in enumerate(rows)]
+    prev = 1
+    for k, pivot_row in enumerate(m):
+        pivot = pivot_row[k]
+        if pivot <= 0:
+            return False
+        for row in m[k + 1 :]:
+            lead = row[k]
+            for j in range(k + 1, len(m)):
+                row[j] = (pivot * row[j] - lead * pivot_row[j]) // prev
+        prev = pivot
+    return True
 
 
 def spectral_radius(matrix: Sequence[Sequence[int]]) -> float:
-    """Dominant eigenvalue of a nonnegative integer matrix by power iteration.
+    """Dominant eigenvalue of a nonnegative integer matrix, exact to the float.
 
-    Starts from the all-ones vector and stops when successive Rayleigh
-    quotients agree to _TOL.  The result is cross-checked against the exact
-    path-count ratio; disagreement beyond 1e-3 or running out of iterations
-    raises, carrying the ratio as fallback.
+    Bisection on rationals over [0, max row sum] with the exact test
+    ``_exceeds``, until both ends round to the same float, which is then
+    the correctly rounded root.  A nilpotent matrix (A^n = 0) gives 0.0.
     """
     try:
-        rows = [[float(x) for x in row] for row in matrix]
+        rows = [[index(x) for x in row] for row in matrix]
     except TypeError:
-        raise ValueError("need a square matrix of numbers") from None
+        raise ValueError("need a square matrix of integers") from None
     if not rows or any(len(row) != len(rows) for row in rows):
         raise ValueError(f"need a square matrix, got row lengths {[len(row) for row in rows]}")
     if any(x < 0 for row in rows for x in row):
         raise ValueError("matrix entries must be nonnegative")
-    cols = list(zip(*rows))  # _step(x, cols) is the column product A x
-    x = [1.0] * len(rows)
-    lam = None
-    for _ in range(_MAX_ITER):
-        y = _step(x, cols)
-        norm = sqrt(sum(map(mul, y, y)))
-        if norm == 0.0:
-            return 0.0  # nilpotent
-        x = [v / norm for v in y]
-        lam_prev, lam = lam, sum(map(mul, x, _step(x, cols)))
-        if lam_prev is not None and abs(lam - lam_prev) < _TOL:
-            break
-    else:
-        raise SpectralError("power iteration did not converge", _power_ratio(rows))
-    ratio = _power_ratio(rows)
-    if abs(lam - ratio) > 1e-3:
-        raise SpectralError(f"eigenvalue {lam!r} disagrees with path-count ratio", ratio)
-    return lam
+    vec = [1] * len(rows)
+    for _ in rows:
+        vec = _step(vec, rows)
+    if not any(vec):
+        return 0.0
+    lo, hi, den = 0, max(map(sum, rows)), 1
+    while lo / den != hi / den:
+        lo, hi, den = 2 * lo, 2 * hi, 2 * den
+        mid = (lo + hi) // 2
+        if _exceeds(rows, mid, den):
+            hi = mid
+        else:
+            lo = mid
+    return lo / den
 
 
 @dataclass
@@ -326,7 +324,7 @@ def add_bound(t: int, reports: Iterable[CountReport], pattern: Sequence[int]) ->
     the first row is drawn, so lazy rows count nothing for a bad pattern.
     """
     pattern = tuple(pattern)
-    growth = spectral_radius(factor_automaton(pattern, t).matrix)
+    growth = factor_automaton(pattern, t).growth_rate
     reports = list(reports)
     for report in reports:
         report.m_prime = containing_count(pattern, t, report.n - t + 1)
@@ -354,7 +352,6 @@ __all__ = [
     "CountReport",
     "DEFAULT_PATTERNS",
     "FactorAutomaton",
-    "SpectralError",
     "add_bound",
     "auto_method",
     "containing_count",

@@ -145,25 +145,26 @@ def longest_cycle(n: int, w: int, mode: str = "adjacent") -> tuple[int, GrayCycl
     room of a path ending at v holds the words off the path that v reaches
     and that still reach the start; a closing path uses no others.  A branch
     dies unless path plus room can hold a cycle of the least length that
-    beats the best, ``k * period``, with k words in each position-sum class
-    mod ``period`` (n in adjacent mode, where every cycle length is a
-    multiple of n; 1 otherwise).  Only branches that cannot beat the best
-    are cut, so the witness is the cycle a plain backtracking search finds
-    first.
+    beats the best, ``k * n``, with k words in each position-sum class mod
+    n (every step lowers the sum by 1 mod n, so every cycle length is a
+    multiple of n).  Only branches that cannot beat the best are cut, so
+    the witness is the cycle a plain backtracking search finds first.  Mode
+    "any" has no cycle: every step strictly lowers the one-position sum.
     """
     graph = GrayGraph.build(n, w, mode)
     budget = enumeration_budget(_DEFAULT_VERTEX_BUDGET)
     if len(graph.vertices) > budget:
         raise ValueError(f"{len(graph.vertices)} vertices exceed the search budget {budget}")
+    if mode == "any":
+        return 0, None
     verts = graph.vertices
     index = {v: i for i, v in enumerate(verts)}
     succ = [[index[y] for y in graph.successors[x]] for x in verts]
     succ_mask = [sum(1 << j for j in s) for s in succ]
     pred_mask = [sum(1 << i for i, s in enumerate(succ) if j in s) for j in range(len(verts))]
-    period = n if mode == "adjacent" else 1
-    classes = [0] * period
+    classes = [0] * n
     for i, x in enumerate(verts):
-        classes[sum(p for p, ch in enumerate(x) if ch == "1") % period] |= 1 << i
+        classes[sum(p for p, ch in enumerate(x) if ch == "1") % n] |= 1 << i
     best_len = 0
     best: tuple[int, ...] | None = None
     path: list[int] = []
@@ -189,8 +190,8 @@ def longest_cycle(n: int, w: int, mode: str = "adjacent") -> tuple[int, GrayCycl
             if len(path) >= 3 and into_start >> v & 1 and len(path) > best_len:
                 best_len = len(path)
                 best = tuple(path)
-            k = best_len // period + 1
-            if len(path) + allowed.bit_count() > k * period:  # room lies in allowed minus v
+            k = best_len // n + 1
+            if len(path) + allowed.bit_count() > k * n:  # room lies in allowed minus v
                 forward = closure(succ_mask[v], allowed & ~(1 << v), succ_mask)
                 room = closure(into_start & forward, forward, pred_mask)
                 on_path = taken | 1 << v
@@ -200,7 +201,7 @@ def longest_cycle(n: int, w: int, mode: str = "adjacent") -> tuple[int, GrayCycl
 
     full = (1 << len(verts)) - 1
     for si in range(len(verts)):
-        if len(verts) - si < (best_len // period + 1) * period:
+        if len(verts) - si < (best_len // n + 1) * n:
             break
         path[:] = [si]
         into_start = pred_mask[si]

@@ -1,11 +1,13 @@
+import itertools
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
 from lrm.census import (
     CountReport,
     FactorAutomaton,
-    SpectralError,
     containing_count,
     count_by_automaton,
     count_by_legality,
@@ -54,6 +56,7 @@ def test_avoiding_plus_containing_is_total():
 
 def test_spectral_radius_reference_values():
     assert abs(spectral_radius(REFERENCE_MATRIX) - 2.9615) < 5e-4
+    assert spectral_radius(REFERENCE_MATRIX) == 2.961499625514947  # the correctly rounded root
     assert spectral_radius([[1, 0], [0, 1]]) == pytest.approx(1.0, abs=1e-9)
     golden = (1 + math.sqrt(5)) / 2
     assert abs(spectral_radius([[1, 1], [1, 0]]) - golden) < 1e-3
@@ -62,6 +65,7 @@ def test_spectral_radius_reference_values():
 def test_spectral_radius_t4_pattern():
     beta = spectral_radius(factor_automaton((3, 3, 0, 1, 2, 1), 4).matrix)
     assert abs(beta - 3.99902) < 5e-4
+    assert beta == 3.9990222430733127
 
 
 def test_spectral_radius_guards():
@@ -70,14 +74,99 @@ def test_spectral_radius_guards():
             spectral_radius(malformed)
     with pytest.raises(ValueError):
         spectral_radius([[-1]])
+    for fractional in ([[0.5]], [[1, 2], [3, 1.0]], [[Fraction(1, 2)]], [["1"]]):
+        with pytest.raises(ValueError, match="integers"):
+            spectral_radius(fractional)
     assert spectral_radius([[0, 1], [0, 0]]) == 0.0  # nilpotent
 
 
-def test_spectral_radius_flags_oscillation():
-    # asymmetric two-cycle: Rayleigh quotients oscillate and never settle
-    with pytest.raises(SpectralError) as info:
-        spectral_radius([[0, 1], [2, 0]])
-    assert info.value.fallback > 0
+def test_spectral_radius_periodic_matrix():
+    # an asymmetric two-cycle, eigenvalues +-sqrt(2): periodic, no dominant modulus
+    assert abs(spectral_radius([[0, 1], [2, 0]]) - math.sqrt(2)) < 1e-15
+    # reducible, with a defective eigenvalue 1: the avoidance matrix of 0,1 at t=2
+    assert spectral_radius(((1, 1), (0, 1))) == 1.0
+
+
+def _poly_eval(coeffs, x):
+    value = Fraction(0)
+    for c in coeffs:  # highest degree first
+        value = value * x + c
+    return value
+
+
+def _poly_rem(num, den):
+    num = list(num)
+    while len(num) >= len(den):
+        q = num[0] / den[0]
+        num = [a - q * b for a, b in zip(num, den + [0] * (len(num) - len(den)))][1:]
+    while num and num[0] == 0:
+        num.pop(0)
+    return num
+
+
+def _sturm_chain(coeffs):
+    degree = len(coeffs) - 1
+    chain = [[Fraction(c) for c in coeffs], [Fraction(c * (degree - i)) for i, c in enumerate(coeffs[:-1])]]
+    while len(chain[-1]) > 1:
+        rem = _poly_rem(chain[-2], chain[-1])
+        if not rem:
+            break
+        chain.append([-c for c in rem])
+    return chain
+
+
+def _sign_changes(values):
+    signs = [v > 0 for v in values if v != 0]
+    return sum(a != b for a, b in itertools.pairwise(signs))
+
+
+def _roots_above(chain, x):
+    """Distinct real roots greater than x, for x not a root (Sturm)."""
+    return _sign_changes([_poly_eval(p, x) for p in chain]) - _sign_changes([p[0] for p in chain])
+
+
+def _guibas_odlyzko(pattern, t):
+    """Coefficients of (x - t) C(x) + 1, highest degree first; C is the autocorrelation polynomial."""
+    r = len(pattern)
+    corr = [int(pattern[i:] == pattern[: r - i]) for i in range(r)]  # coefficient of x^(r-1-i)
+    poly = [a - t * b for a, b in zip(corr + [0], [0] + corr)]
+    poly[-1] += 1
+    return poly
+
+
+def test_spectral_radius_is_the_largest_guibas_odlyzko_root():
+    """Growth rate of pattern-avoiding words: the largest real root of (x - t) C(x) + 1 (JCTA 30, 1981)."""
+    eps = Fraction(1, 10**12)
+    for t in (2, 3, 4):
+        for r in range(1, 6):
+            for pattern in itertools.product(range(t), repeat=r):
+                rate = Fraction(spectral_radius(factor_automaton(pattern, t).matrix))
+                chain = _sturm_chain(_guibas_odlyzko(pattern, t))
+                # a root within eps below or above the rate, and none beyond
+                assert _roots_above(chain, rate + eps) == 0, pattern
+                assert _roots_above(chain, rate - eps) >= 1, pattern
+
+
+def test_guibas_odlyzko_polynomials():
+    assert _guibas_odlyzko((1, 1), 2) == [1, -1, -1]  # x^2 - x - 1: the golden ratio
+    assert _guibas_odlyzko((0, 1), 2) == [1, -2, 1]  # (x - 1)^2: a double root at 1
+    assert _guibas_odlyzko((0, 0, 1), 2) == [1, -2, 0, 1]  # (x - 1)(x^2 - x - 1)
+
+
+def test_spectral_radius_inside_collatz_wielandt_bracket():
+    """For A > 0 and v > 0: min (Av)_i / v_i <= rho(A) <= max (Av)_i / v_i, here with v = A^k 1."""
+    rng = random.Random(20111)
+    for _ in range(150):
+        size = rng.randint(1, 7)
+        matrix = [[rng.randint(1, 9) for _ in range(size)] for _ in range(size)]
+        rate = spectral_radius(matrix)
+        vec = [1] * size
+        for k in range(6):
+            image = [sum(a * b for a, b in zip(row, vec)) for row in matrix]
+            ratios = [Fraction(a, b) for a, b in zip(image, vec)]
+            # rounding is monotone, so the float root lies between the rounded ends
+            assert float(min(ratios)) <= rate <= float(max(ratios)), (matrix, k)
+            vec = image
 
 
 def test_count_by_rankings_reference():

@@ -52,13 +52,12 @@ def test_spectral_reference(capsys):
     assert payload["matrix"] == [[2, 1, 0, 0], [1, 1, 1, 0], [1, 1, 0, 1], [1, 1, 0, 0]]
 
 
-def test_spectral_cross_check_failure_exits_2(capsys):
-    # words 1*0* grow polynomially, so the path-count ratio misses the eigenvalue 1
-    for argv in (("spectral", "--t", "2", "--pattern", "0,1"), ("count", "--t", "2", "--range", "4:5", "--pattern", "0,1")):
-        code, payload = run_json(capsys, *argv)
-        assert code == 2
-        assert payload["ok"] is False and payload["command"] == argv[0]
-        assert "ratio fallback 1.016" in payload["error"]
+def test_spectral_reducible_matrix_exits_0(capsys):
+    # words 1*0* grow polynomially: a reducible matrix with a defective eigenvalue 1
+    code, payload = run_json(capsys, "spectral", "--t", "2", "--pattern", "0,1")
+    assert code == 0 and payload["ok"] is True and payload["growth_rate"] == 1.0
+    code, payload = run_json(capsys, "count", "--t", "2", "--range", "4:5", "--pattern", "0,1")
+    assert code == 0 and [r["growth_rate"] for r in payload["reports"]] == [1.0, 1.0]
 
 
 def test_decode_reference(capsys):
@@ -108,9 +107,9 @@ def test_count_json_and_csv(capsys):
 RANGE_6_7 = (
     '{"command": "count", "t": 3, "ok": true, "reports": ['
     '{"t": 3, "n": 6, "legal_count": 426, "total": 729, "density": 0.5843621399176955, '
-    '"m_prime": 1, "bound_ok": true, "growth_rate": 2.961499625507513}, '
+    '"m_prime": 1, "bound_ok": true, "growth_rate": 2.961499625514947}, '
     '{"t": 3, "n": 7, "legal_count": 1512, "total": 2187, "density": 0.691358024691358, '
-    '"m_prime": 6, "bound_ok": true, "growth_rate": 2.961499625507513}]}\n'
+    '"m_prime": 6, "bound_ok": true, "growth_rate": 2.961499625514947}]}\n'
 )
 
 
@@ -134,12 +133,12 @@ def test_count_range_output_and_method_conflict(capsys):
 def test_count_one_length_takes_the_pattern_bound(capsys):
     code, payload = run_json(capsys, "count", "--t", "3", "--n", "8", "--pattern", "2,0,1,1")
     assert code == 0
-    assert (payload["m_prime"], payload["bound_ok"], payload["growth_rate"]) == (27, True, 2.961499625507513)
+    assert (payload["m_prime"], payload["bound_ok"], payload["growth_rate"]) == (27, True, 2.961499625514947)
     _, ranged = run_json(capsys, "count", "--t", "3", "--range", "8:8", "--pattern", "2,0,1,1")
     assert {k: payload[k] for k in ranged["reports"][0]} == ranged["reports"][0]
-    # the avoidance matrix of 0,1 fails its cross-check, on one length as on a range
+    # the reducible avoidance matrix of 0,1 has its rate, on one length as on a range
     code, payload = run_json(capsys, "count", "--t", "2", "--n", "5", "--pattern", "0,1")
-    assert code == 2 and payload["ok"] is False and "ratio fallback 1.016" in payload["error"]
+    assert code == 0 and payload["growth_rate"] == 1.0
 
 
 def test_states_listing_and_chase(capsys):

@@ -146,6 +146,15 @@ def test_adjacent_steps_lower_the_one_sum_by_one_mod_n():
                         assert (_one_sum(u) - _one_sum(v)) % n == 1
 
 
+def test_any_steps_strictly_lower_the_one_sum():
+    """The lemma behind longest_cycle's (0, None) in mode "any": no step can close a cycle."""
+    for n in range(2, 10):
+        for w in range(n + 1):
+            graph = GrayGraph.build(n, w, "any")
+            for u in graph.vertices:
+                assert all(_one_sum(v) < _one_sum(u) for v in graph.successors[u])
+
+
 def _reference_longest_cycle(n, w, mode):
     """Slow reference: plain string-set backtracking over push_step successors."""
     verts = weight_words(n, w)

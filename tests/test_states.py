@@ -505,7 +505,7 @@ def reference_search(t, max_len, rate_filter):
 @pytest.mark.parametrize("t, top, rate_filter", [(2, 8, False), (3, 6, True), (4, 6, True)])
 def test_find_completing_pattern_matches_per_pattern_loop(t, top, rate_filter):
     # equality with the filtered reference puts every found growth rate below t;
-    # the power iteration fails on the avoidance matrix of 0,1, so t=2 goes unfiltered
+    # t=2 runs without the filter
     reference = reference_search(t, top, rate_filter)
     for max_len in range(t, top + 1):
         assert find_completing_pattern(t, max_len) == {p for p in reference if len(p) <= max_len}
