@@ -14,7 +14,9 @@ the sum of one-positions, so no cyclic code exists under it at all, which
 is the strongest sign the adjacent reading is the operative one.  Under
 the adjacent reading a step moves one 1 one place left, cyclically, so it
 lowers the sum of one-positions by exactly 1 mod n: every cyclic code has a
-length k*n and meets each residue class of that sum exactly k times.
+length k*n and meets each residue class of that sum exactly k times.  For
+n >= 3 the step relation is also invariant under cyclic rotation of the
+positions, so a rotated code is a code of the same length.
 
 Cycle files carry a header line "n=<n> w=<w> len=<len>" followed by one
 binary word per line in cyclic order.
@@ -141,7 +143,11 @@ def longest_cycle(n: int, w: int, mode: str = "adjacent") -> tuple[int, GrayCycl
 
     Exhaustive backtracking over start words in lexicographic order,
     visiting only words above the start so every cycle is met exactly once,
-    at its minimum word.  Word sets are int bitmasks in vertex order.  The
+    at its minimum word.  For n >= 3 it also drops every word, and every
+    start, with a rotation below the start: a cycle through it rotates to
+    one of the same length met from an earlier start (McKay's isomorph
+    rejection), which would have set any record first, so the witness is
+    unchanged.  Word sets are int bitmasks in vertex order.  The
     room of a path ending at v holds the words off the path that v reaches
     and that still reach the start; a closing path uses no others.  A branch
     dies unless path plus room can hold a cycle of the least length that
@@ -199,13 +205,17 @@ def longest_cycle(n: int, w: int, mode: str = "adjacent") -> tuple[int, GrayCycl
                     extend(v, room, on_path)
             path.pop()
 
-    full = (1 << len(verts)) - 1
+    # least index among a word's rotations; n = 2 keeps the plain order (the wrap pair is no edge)
+    floor = [min(index[x[r:] + x[:r]] for r in range(n if n > 2 else 1)) for x in verts]
     for si in range(len(verts)):
-        if len(verts) - si < (best_len // n + 1) * n:
+        canon = sum(1 << i for i, f in enumerate(floor) if f >= si)
+        if canon.bit_count() < (best_len // n + 1) * n:
             break
+        if not canon >> si & 1:  # a rotation of the start was searched earlier
+            continue
         path[:] = [si]
         into_start = pred_mask[si]
-        extend(si, full ^ ((2 << si) - 1), 1 << si)
+        extend(si, canon ^ 1 << si, 1 << si)
     return best_len, (GrayCycle(words=tuple(verts[i] for i in best)) if best is not None else None)
 
 

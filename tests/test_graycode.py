@@ -155,6 +155,19 @@ def test_any_steps_strictly_lower_the_one_sum():
                 assert all(_one_sum(v) < _one_sum(u) for v in graph.successors[u])
 
 
+def test_rotations_map_steps_to_steps():
+    """The fact behind the rotation cut: for n >= 3 rotating both ends of a step gives a step."""
+    for n in range(3, 10):
+        for w in range(n + 1):
+            graph = GrayGraph.build(n, w)
+            for u in graph.vertices:
+                for v in graph.successors[u]:
+                    for r in range(n):
+                        assert v[r:] + v[:r] in graph.successors[u[r:] + u[:r]], (u, v, r)
+    for w in range(3):  # at n = 2 the wrap pair is no edge, and no cycle exists
+        assert longest_cycle(2, w) == (0, None)
+
+
 def _reference_longest_cycle(n, w, mode):
     """Slow reference: plain string-set backtracking over push_step successors."""
     verts = weight_words(n, w)
@@ -217,6 +230,34 @@ def test_longest_cycle_former_hangs(n, w, expected):
     length, cycle = longest_cycle(n, w)
     assert length == expected
     assert validate_cycle(cycle.words, n, w).ok
+
+
+# witnesses of the search before the rotation cut, which must not change them
+PINNED_WITNESSES = {
+    (10, 2): """0000000011 0000000101 0000000110 0000001010 0000001100 0000010100
+        0000011000 0000101000 0000110000 0001010000 0001100000 0010100000
+        0011000000 0101000000 0110000000 1010000000 0010000001 0010000010
+        0100000010 1000000010""",
+    (10, 8): """0011111111 0101111111 0110111111 0111011111 0111101111 0111110111
+        0111111011 1011111011 1011111101 1101111101 1101111110 1110111110
+        1111011110 1111101110 1111110110 1111111010 1111111100 0111111101
+        0111111110 1011111110""",
+    (11, 2): """00000000011 00000000101 00000000110 00000001010 00000001100 00000010100
+        00000011000 00000101000 00000110000 00001010000 00001100000 00010100000
+        00011000000 00101000000 00110000000 01010000000 01100000000 10100000000
+        00100000001 00100000010 01000000010 10000000010""",
+    (11, 9): """00111111111 01011111111 01101111111 01110111111 01111011111 01111101111
+        01111110111 01111111011 10111111011 10111111101 11011111101 11011111110
+        11101111110 11110111110 11111011110 11111101110 11111110110 11111111010
+        11111111100 01111111101 01111111110 10111111110""",
+}
+
+
+@pytest.mark.parametrize(("n", "w"), list(PINNED_WITNESSES))
+def test_longest_cycle_keeps_pinned_witness(n, w):
+    length, cycle = longest_cycle(n, w)
+    assert length == 2 * n
+    assert cycle.words == tuple(PINNED_WITNESSES[n, w].split())
 
 
 def _word_of(profile):
