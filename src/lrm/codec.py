@@ -211,8 +211,8 @@ def _legal_heads(g: Sequence[int], t: int) -> Iterator[Perm]:
     """
     n = len(g)
     head, middle, tail = g[: t - 1], g[t - 1 : n - t + 1], g[n - t + 1 :]
-    for pi in st.head_permutations(t):
-        if tail in st.achievable_tails(st.chain(st.initial_state(head, t, pi), middle), pi):
+    for pi, start in st.initial_states_by_head(head, t):
+        if tail in st.achievable_tails(st.chain(start, middle), pi):
             yield pi
 
 

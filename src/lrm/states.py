@@ -11,7 +11,10 @@ them and they are closed under the successor rule.
 Digit d of window i fixes the rank of the newest cell among the t-1 cells
 before it, so consuming one digit inserts a new cell into the tracked
 order, re-bands its head relation between the relations of its window
-neighbours, and drops the oldest tracked cell.
+neighbours, and drops the oldest tracked cell.  Each relation tuple maps
+to its own run of new tuples, so the rule steps a whole tuple bitmask at
+once: spread every bit to a t-bit slot, keep each slot's run, and OR the
+t segments the slots fall in.
 
 The first state of a word comes from the same rule: it starts at the head
 order, with the head cells as the tracked cells, and consumes the t-1 head
@@ -30,12 +33,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb
-from operator import itemgetter
+from operator import itemgetter, or_
 from typing import Iterable, Iterator, Sequence
 
-from .permutations import Perm
+from .permutations import MAX_WINDOW, MIN_WINDOW, Perm
 
 RelTuple = tuple[int, ...]
 
@@ -58,8 +61,8 @@ class State(tuple):
     def __new__(cls, perm: Perm, tuples: Iterable[RelTuple]) -> State:
         perm = tuple(perm)
         t = len(perm) + 1
-        if t < 2 or sorted(perm) != list(range(1, t)):
-            raise ValueError(f"tracked order must be a permutation of 1..t-1, got {perm}")
+        if not MIN_WINDOW <= t <= MAX_WINDOW or sorted(perm) != list(range(1, t)):
+            raise ValueError(f"tracked order must be a permutation of 1..t-1 for t in [2, {MAX_WINDOW}], got {perm}")
         mask = 0
         for tup in tuples:
             if len(tup) != t - 1 or any(not 0 <= x < t for x in tup):
@@ -90,8 +93,7 @@ class State(tuple):
         body = ",".join("(" + ",".join(map(str, table[i])) + ")" for i in _set_bits(self.mask))
         return "([" + ",".join(map(str, self.perm)) + "], {" + body + "})"
 
-    def __str__(self) -> str:
-        return self.render()
+    __str__ = render
 
 
 def _tuple_index(tup: RelTuple, t: int) -> int:
@@ -131,8 +133,7 @@ def monotone_tuples(perm: Perm) -> frozenset[RelTuple]:
 
 def is_complete(state: State) -> bool:
     """True when every monotone-consistent tuple is achievable."""
-    t = state.t
-    return state.mask.bit_count() == comb(2 * t - 2, t - 1)
+    return state.mask.bit_count() == comb(2 * state.t - 2, state.t - 1)
 
 
 @lru_cache(maxsize=None)
@@ -140,98 +141,88 @@ def complete_states(t: int) -> frozenset[State]:
     """The (t-1)! complete states, one per tracked-cell order."""
     if not 2 <= t <= 5:
         raise ValueError(f"complete-state tables are kept enumerable for t in [2, 5], got {t}")
-    out = set()
-    for perm in itertools.permutations(range(1, t)):
-        out.add(State(perm=perm, tuples=monotone_tuples(perm)))
-    return frozenset(out)
+    return frozenset(State(perm, monotone_tuples(perm)) for perm in itertools.permutations(range(1, t)))
+
+
+def _dilate(mask: int, t: int) -> int:
+    """Move bit i of a mask to bit t*i: its binary digits read in base 2^t.
+
+    ``int`` takes bases up to 36, so t = 6 spreads in two passes (base 4, then
+    base 8).  Power-of-two bases are exempt from the int/str digit limit.
+    """
+    if t <= 5:
+        return int(bin(mask)[2:], 1 << t)
+    if t == 6:
+        return int(bin(int(bin(mask)[2:], 4))[2:], 8)
+    raise ValueError(f"window size must be in [{MIN_WINDOW}, {MAX_WINDOW}], got {t}")
 
 
 @lru_cache(maxsize=None)
-def _rule(perm: Perm, digit: int) -> tuple[Perm, Perm, int | None, int | None, dict[int, int]]:
+def _entry_at_most(t: int) -> tuple[tuple[int, ...], ...]:
+    """Dilated masks of the tuples whose entry at block position p is <= v, as ``[p - 1][v]``.
+
+    Entry p is the base-t digit of weight w = t^(t-1-p), so the tuples with
+    entry <= v fill the first (v+1)*w indices of every period of t*w.
+    """
+    out = []
+    for p in range(1, t):
+        w = t ** (t - 1 - p)
+        repeat = ((1 << t ** (t - 1)) - 1) // ((1 << t * w) - 1)
+        out.append(tuple(_dilate(((1 << (v + 1) * w) - 1) * repeat, t) for v in range(t)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _run_mask(t: int, above: int | None, below: int | None) -> int:
+    """Bit ``t*j + y`` is set when y lies between tuple j's entries at ``below`` and ``above`` (0, t-1 if absent)."""
+    at_most = _entry_at_most(t)
+    runs = 0
+    for y in range(t):  # y >= the entry below, and not y > the entry above
+        ok = at_most[below - 1][y] if below is not None else at_most[0][t - 1]
+        if above is not None and y:
+            ok &= ~at_most[above - 1][y - 1]
+        runs |= ok << y
+    return runs
+
+
+@lru_cache(maxsize=None)
+def _rule(perm: Perm, digit: int) -> tuple[Perm, Perm, int | None, int | None, int]:
     """The successor rule of one (order, digit) pair.
 
     Returns the window permutation the digit reads, the new order, the
     block positions of the new cell's window neighbours above and below it
-    (None when absent), and an empty memo that ``_successor`` fills with the
-    image mask of each 16-tail chunk it meets.
+    (None when absent), and their ``_run_mask``: tuple j maps to the tuples
+    ``tail(j) + (y,)`` for the y its bits ``t*j + y`` hold.
     """
     t = len(perm) + 1
     insert_at = (t - 1) - digit  # index in the descending window order
     window = perm[:insert_at] + (t,) + perm[insert_at:]
     above = window[insert_at - 1] if insert_at > 0 else None
     below = window[insert_at + 1] if insert_at + 1 < len(window) else None
-    return window, tuple(lbl - 1 for lbl in window if lbl != 1), above, below, {}
+    return window, tuple(lbl - 1 for lbl in window if lbl != 1), above, below, _run_mask(t, above, below)
 
 
-def _image(index: int, t: int, above: int | None, below: int | None) -> int:
-    """Mask of the tuples ``tail + (y,)`` for y between the neighbours' relations."""
-    lo = index // t ** (t - 1 - below) % t if below is not None else 0
-    hi = index // t ** (t - 1 - above) % t if above is not None else t - 1
-    if hi < lo:
-        return 0
-    tail = index % t ** (t - 2)
-    return ((1 << (hi - lo + 1)) - 1) << (tail * t + lo)
+def _successors(state: State, digits: Iterable[int]) -> Iterator[State]:
+    """The successor rule, uncached, for several digits at one dilation of the state's mask.
 
-
-def _tail_images(tails: int, oldest: int, t: int, above: int | None, below: int | None, images: dict[int, int]) -> int:
-    """OR of the images of the tuples ``(oldest,) + tail`` over a set of tails.
-
-    The tails are taken 16 at a time; each chunk's image is memoized under
-    the index of its first tuple and its bits.  A rule either folds or
-    peels, so a folded tail set, whose oldest relation is never read, can
-    share the keys of ``oldest = 0``.
-    """
-    out = 0
-    first = oldest * t ** (t - 2)
-    while tails:
-        bits = tails & 0xFFFF
-        if bits:
-            key = first << 16 | bits
-            image = images.get(key)
-            if image is None:
-                image = 0
-                for i in _set_bits(bits):
-                    image |= _image(first + i, t, above, below)
-                images[key] = image
-            out |= image
-        tails >>= 16
-        first += 16
-    return out
-
-
-def _successor(state: State, digit: int) -> State:
-    """The successor rule, uncached; ``successor`` is its cache.
-
-    Bit ``r * t^(t-2) + tail`` of the mask stands for the tuple whose oldest
-    cell has relation r.  That cell drops out, so when neither window
-    neighbour is block position 1 the image depends on the tail alone and
-    the mask folds to one tail set.  When the neighbour below (above) is
-    position 1, r is an end of the new cell's run, and the runs of one tail
-    over every present r join into the run from its least (greatest) r: the
-    tail sets are peeled in that order, each tail at the first r that holds it.
+    Bit i of the mask spreads to bits ``t*i .. t*i + t-1``; a digit's run
+    mask keeps the run of each tuple.  Bit ``t*j + y`` is bit
+    ``tail(j)*t + y`` of the segment of width t^(t-1) that j's oldest
+    relation picks, so the image is the OR of the t segments.
     """
     perm, mask = state
     t = len(perm) + 1
-    if not 0 <= digit < t:
-        raise ValueError(f"digit out of range 0..{t - 1}: {digit}")
-    _, new_perm, above, below, images = _rule(perm, digit)
-    width = t ** (t - 2)
+    spread = _dilate(mask, t) * ((1 << t) - 1)
+    width = t ** (t - 1)
     full = (1 << width) - 1
-    out = 0
-    if above != 1 and below != 1:
-        tails = 0
-        while mask:
-            tails |= mask & full
-            mask >>= width
-        out = _tail_images(tails, 0, t, above, below, images)
-    else:
-        claimed = 0
-        for oldest in range(t) if below == 1 else range(t - 1, -1, -1):
-            tails = mask >> (oldest * width) & full & ~claimed
-            if tails:
-                claimed |= tails
-                out |= _tail_images(tails, oldest, t, above, below, images)
-    return tuple.__new__(State, (new_perm, out))
+    for d in digits:
+        _, new_perm, _, _, runs = _rule(perm, d)
+        hit = spread & runs
+        image = 0
+        while hit:
+            image |= hit & full
+            hit >>= width
+        yield tuple.__new__(State, (new_perm, image))
 
 
 @lru_cache(maxsize=None)
@@ -241,10 +232,13 @@ def successor(state: State, digit: int) -> State:
     The new cell enters the window with ``digit`` old cells below it; its
     head relation ranges between the relations of the window cells directly
     below and above it (0 and t-1 when absent).  The oldest cell drops out.
-    Each tuple maps to a run of tuples; the successor's mask is the OR of
-    the runs of the state's tuples.
+    For a fixed order and digit each tuple maps to its own run of tuples,
+    so the rule is a union homomorphism on masks; ``_successors`` takes
+    the image of every tuple at once in one dilate-and-mask step.
     """
-    return _successor(state, digit)
+    if not 0 <= digit <= len(state[0]):
+        raise ValueError(f"digit out of range 0..{len(state[0])}: {digit}")
+    return next(_successors(state, (digit,)))
 
 
 _ChainTable = tuple[dict[State, int], list[State], list[dict[int, int]]]
@@ -281,10 +275,8 @@ def chain(state: State, digits: Iterable[int]) -> State:
     digits = tuple(digits)
     if not digits:
         return state
-    ids, states, rows = table = _chain_table(len(state[0]) + 1)
-    s = ids.get(state)
-    if s is None:
-        s = _state_id(table, state)
+    _, states, rows = table = _chain_table(len(state[0]) + 1)
+    s = _state_id(table, state)
     row = rows[s]
     for d in digits:
         try:
@@ -402,36 +394,48 @@ def state_oracle(digits: Sequence[int], t: int, pi: Perm | None = None) -> State
     return State(perm=perm, tuples=frozenset(rels))
 
 
-def _seed_groups(digits: tuple[int, ...], t: int, pi: Perm | None) -> dict[Perm, int]:
-    """Initial masks of a t-1 digit prefix by tracked order, read off the chain rule.
+def _seed_walk(pi: Perm, levels: Sequence[Iterable[int]]) -> list[tuple[tuple[int, ...], Perm, int]]:
+    """(prefix, tracked order, initial mask) under head order pi at each leaf of a prefix trie.
 
-    The ``_rule`` walk starts at tracked order ``pi`` with the head cells as
-    the tracked cells.  Relations are kept doubled: a head cell with c head
-    cells under it carries the code 2c+1, between relations c and c+1, and
-    a later cell of relation x carries 2x.  The new cell takes every
-    relation y in [ceil(lo/2), floor(hi/2)] between its window neighbours'
-    codes lo and hi (0 and 2t-2 when absent).  After t-1 digits every head
-    cell has dropped out and the codes halve into relation tuples.  With no
-    ``pi`` the masks are unions, by tracked order, over every head order.
+    Level k of the trie offers the digits ``levels[k]``.  The ``_rule`` walk
+    starts at order pi with the head cells as the tracked cells.  Relations
+    are kept doubled: a head cell with c head cells under it carries the
+    code 2c+1, between relations c and c+1, and a later cell of relation x
+    carries 2x.  The new cell takes every relation y in [ceil(lo/2),
+    floor(hi/2)] between its window neighbours' codes lo and hi (0 and
+    2t-2 when absent).  After t-1 digits every head cell has dropped out,
+    so each code is even and a code tuple's index is twice its relation
+    tuple's.
     """
+    t = len(pi) + 1
+    walk = [((), pi, {tuple(2 * c + 1 for c in _heads_below(pi)[1:])})]
+    for digits in levels:
+        nxt = []
+        for prefix, perm, codes in walk:
+            for d in digits:
+                _, new_perm, above, below, _ = _rule(perm, d)
+                step = {
+                    tup[1:] + (2 * y,)
+                    for tup in codes
+                    for y in range(
+                        (tup[below - 1] + 1) // 2 if below is not None else 0,
+                        (tup[above - 1] if above is not None else 2 * t - 2) // 2 + 1,
+                    )
+                }
+                nxt.append((prefix + (d,), new_perm, step))
+        walk = nxt
+    return [(p, perm, reduce(or_, (1 << (_tuple_index(tup, t) // 2) for tup in codes), 0)) for p, perm, codes in walk]
+
+
+def _seed_groups(digits: tuple[int, ...], t: int, pi: Perm | None) -> dict[Perm, int]:
+    """Initial masks of a t-1 digit prefix by tracked order; with no ``pi``, unions over every head order."""
+    if len(digits) != t - 1:
+        raise ValueError(f"initial states need exactly t-1 = {t - 1} digits, got {len(digits)}")
     _check_prefix(digits, t, pi)
     groups: dict[Perm, int] = {}
-    for perm in head_permutations(t) if pi is None else (pi,):
-        codes = {tuple(2 * (t - 2 - perm.index(h)) + 1 for h in range(1, t))}
-        for d in digits:
-            _, perm, above, below, _ = _rule(perm, d)
-            codes = {
-                tup[1:] + (2 * y,)
-                for tup in codes
-                for y in range(
-                    (tup[below - 1] + 1) // 2 if below is not None else 0,
-                    (tup[above - 1] if above is not None else 2 * t - 2) // 2 + 1,
-                )
-            }
-        mask = groups.get(perm, 0)
-        for tup in codes:
-            mask |= 1 << _tuple_index([c // 2 for c in tup], t)
-        groups[perm] = mask
+    for head in head_permutations(t) if pi is None else (pi,):
+        ((_, perm, mask),) = _seed_walk(head, [(d,) for d in digits])
+        groups[perm] = groups.get(perm, 0) | mask
     return groups
 
 
@@ -446,42 +450,39 @@ def initial_state(digits: Sequence[int], t: int, pi: Perm | None = None) -> Stat
     With no ``pi`` the prefix must pin the tracked order under every head
     order; prefixes that leave it open raise.
     """
-    digits = tuple(digits)
-    if len(digits) != t - 1:
-        raise ValueError(f"initial state needs exactly t-1 = {t - 1} digits, got {len(digits)}")
-    return _initial_cached(digits, t, tuple(pi) if pi is not None else None)
+    return _initial_cached(tuple(digits), t, tuple(pi) if pi is not None else None)
+
+
+@lru_cache(maxsize=None)
+def initial_states_by_head(digits: tuple[int, ...], t: int) -> tuple[tuple[Perm, State], ...]:
+    """``(pi, initial_state(digits, t, pi))`` for every head order pi, as one cached lookup."""
+    return tuple((pi, initial_state(digits, t, pi)) for pi in head_permutations(t))
 
 
 def initial_states(digits: Sequence[int], t: int) -> frozenset[State]:
     """Every initial state a digit prefix admits, one per tracked order."""
-    digits = tuple(digits)
-    if len(digits) != t - 1:
-        raise ValueError(f"initial states need exactly t-1 = {t - 1} digits, got {len(digits)}")
-    return frozenset(tuple.__new__(State, item) for item in _seed_groups(digits, t, None).items())
+    return frozenset(tuple.__new__(State, item) for item in _seed_groups(tuple(digits), t, None).items())
 
 
 @lru_cache(maxsize=None)
 def reachable_states(t: int) -> frozenset[State]:
     """Closure of every initial state under the successor rule.
 
-    The walk calls the uncached rule, so the closure leaves nothing in the
-    ``successor`` cache.
+    The seeds are ``initial_states`` of every t-1 digit prefix, from one
+    prefix-trie walk per head order.  Each state is dilated once for all t
+    digits by the uncached rule, so the walk leaves no ``successor`` entries.
     """
     if not 2 <= t <= 5:
         raise ValueError(f"state closures are kept enumerable for t in [2, 5], got {t}")
-    frontier: set[State] = set()
-    for prefix in itertools.product(range(t), repeat=t - 1):
-        frontier |= initial_states(prefix, t)
+    seeds: dict[tuple[tuple[int, ...], Perm], int] = {}
+    for pi in head_permutations(t):
+        for prefix, perm, mask in _seed_walk(pi, [range(t)] * (t - 1)):
+            seeds[prefix, perm] = seeds.get((prefix, perm), 0) | mask
+    frontier = {tuple.__new__(State, (perm, mask)) for (_, perm), mask in seeds.items()}
     seen = set(frontier)
     while frontier:
-        nxt = set()
-        for s in frontier:
-            for d in range(t):
-                s2 = _successor(s, d)
-                if s2 not in seen:
-                    seen.add(s2)
-                    nxt.add(s2)
-        frontier = nxt
+        frontier = {s2 for s in frontier for s2 in _successors(s, range(t))} - seen
+        seen |= frontier
     return frozenset(seen)
 
 
@@ -547,6 +548,11 @@ def find_completing_pattern(t: int, max_len: int) -> set[tuple[int, ...]]:
     return found
 
 
+def _heads_below(pi: Perm) -> tuple[int, ...]:
+    """Per head cell h = 1..t-1, how many head cells sit under it in head order pi (entry 0 unused)."""
+    return (0, *(len(pi) - 1 - pi.index(h) for h in range(1, len(pi) + 1)))
+
+
 def wrap_digits(pi: Perm, rel: RelTuple) -> tuple[int, ...]:
     """Digits of the t-1 cycle-closing windows under a head order.
 
@@ -558,9 +564,7 @@ def wrap_digits(pi: Perm, rel: RelTuple) -> tuple[int, ...]:
     the tail cells with x <= below[k], and the tail order never enters.
     """
     t = len(pi) + 1
-    below = [0] * t
-    for rank, h in enumerate(pi):
-        below[h] = t - 2 - rank
+    below = _heads_below(pi)
     return tuple(
         sum(below[m] < below[k] for m in range(1, k)) + sum(x <= below[k] for x in rel[k - 1 :])
         for k in range(1, t)
@@ -585,9 +589,7 @@ def _wrap_rows(pi: Perm) -> tuple[tuple[int, tuple[int, ...], int], ...]:
     the last t-k base-t digits of the tuple's index.
     """
     t = len(pi) + 1
-    below = [0] * t
-    for rank, h in enumerate(pi):
-        below[h] = t - 2 - rank
+    below = _heads_below(pi)
     return tuple(
         (sum(below[m] < below[k] for m in range(1, k)), _at_most(t, t - k, below[k]), t ** (t - k)) for k in range(1, t)
     )
@@ -616,11 +618,8 @@ class TailTable:
 def tail_table(t: int) -> TailTable:
     if not 2 <= t <= 4:
         raise ValueError(f"tail tables are kept enumerable for t in [2, 4], got {t}")
-    tails = {}
-    for state in complete_states(t):
-        for pi in head_permutations(t):
-            tails[(state, pi)] = achievable_tails(state, pi)
-    return TailTable(t=t, tails=tails)
+    pairs = itertools.product(complete_states(t), head_permutations(t))
+    return TailTable(t=t, tails={(state, pi): achievable_tails(state, pi) for state, pi in pairs})
 
 
 @lru_cache(maxsize=None)
@@ -639,6 +638,7 @@ __all__ = [
     "head_permutations",
     "initial_state",
     "initial_states",
+    "initial_states_by_head",
     "is_complete",
     "monotone_tuples",
     "pattern_forces_complete",

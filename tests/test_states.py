@@ -20,6 +20,7 @@ from lrm.states import (
     head_permutations,
     initial_state,
     initial_states,
+    initial_states_by_head,
     is_complete,
     monotone_tuples,
     pattern_forces_complete,
@@ -322,6 +323,60 @@ def test_successor_and_closure_match_per_bit_reference(t):
     assert reachable_states(t) == seen
 
 
+def test_successor_matches_per_bit_reference_t6():
+    # t=6 dilates in two passes; masks past 4,300 bits would trip the int/str
+    # digit limit if a base other than a power of two were used
+    rng = random.Random("successor:6")
+    wide = 0
+    for pi in rng.sample(head_permutations(6), 12):
+        state = initial_state(tuple(rng.randrange(6) for _ in range(5)), 6, pi)
+        for _ in range(rng.randint(1, 30)):
+            digit = rng.randrange(6)
+            image = successor(state, digit)
+            assert image == bit_successor(state, digit)
+            state = image
+            wide += state.mask.bit_length() > 4300
+    assert wide
+
+
+def test_states_stop_at_window_size_six():
+    perm = tuple(range(1, 7))
+    with pytest.raises(ValueError, match=r"t in \[2, 6\]"):
+        State(perm, ())
+    forged = tuple.__new__(State, (perm, 1))
+    with pytest.raises(ValueError, match=r"window size must be in \[2, 6\], got 7"):
+        successor(forged, 0)
+
+
+@pytest.mark.parametrize("t", [3, 4, 5])
+def test_successor_is_a_union_homomorphism_on_closure_states(t):
+    # for a fixed order each tuple maps to its own run, so the successor of
+    # a union of masks is the union of the successors
+    rng = random.Random(f"union:{t}")
+    by_perm = {}
+    for state in sorted(reachable_states(t)):
+        by_perm.setdefault(state.perm, []).append(state)
+    orders = sorted(by_perm)
+    for _ in range(200):
+        a, b = rng.sample(by_perm[rng.choice(orders)], 2)
+        union = tuple.__new__(State, (a.perm, a.mask | b.mask))
+        for digit in range(t):
+            left, right, joint = (successor(s, digit) for s in (a, b, union))
+            assert joint.perm == left.perm == right.perm
+            assert joint.mask == left.mask | right.mask
+            # and the joint image is the true one, read off the tuple sets
+            assert (joint.perm, joint.tuples) == set_successor(union, digit)
+
+
+def test_initial_states_by_head_match_initial_state():
+    for t in (2, 3, 4):
+        for prefix in itertools.product(range(t), repeat=t - 1):
+            expected = tuple((pi, initial_state(prefix, t, pi)) for pi in head_permutations(t))
+            assert initial_states_by_head(prefix, t) == expected
+    with pytest.raises(ValueError, match="exactly t-1"):
+        initial_states_by_head((0, 1, 2), 3)
+
+
 def test_cleared_caches_leave_states_cold():
     def clear():
         # every cache the module keeps, found as the benchmark finds them
@@ -349,6 +404,7 @@ def test_cleared_caches_leave_states_cold():
     assert table_rows() == 4
     clear()
     assert lrm.states._rule.cache_info().currsize == 0
+    assert lrm.states._entry_at_most.cache_info().currsize == lrm.states._run_mask.cache_info().currsize == 0
     assert lrm.states._chain_table.cache_info().currsize == 0
     assert table_rows() == 0
     assert filled_globals() == []
@@ -357,7 +413,7 @@ def test_cleared_caches_leave_states_cold():
 def fold_successor(state, digits):
     """Slow reference for ``chain``: the uncached rule, one digit at a time."""
     for d in digits:
-        state = lrm.states._successor(state, d)
+        state = successor.__wrapped__(state, d)
     return state
 
 
