@@ -53,7 +53,6 @@ from .states import (
     complete_states,
     find_completing_pattern,
     initial_state,
-    initial_states,
     is_complete,
     pattern_forces_complete,
     reachable_states,

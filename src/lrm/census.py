@@ -22,6 +22,7 @@ from typing import Iterable, Sequence
 
 from . import states as st
 from .codec import Codeword, is_legal, ranking_words
+from .permutations import MAX_WINDOW, MIN_WINDOW
 
 # Forcing factors whose occurrence guarantees a complete final state.
 DEFAULT_PATTERNS: dict[int, tuple[int, ...]] = {
@@ -77,6 +78,8 @@ def _step(vec: Sequence, rows: Sequence[Sequence]) -> list:
 @lru_cache(maxsize=None)
 def factor_automaton(pattern: tuple[int, ...], t: int) -> FactorAutomaton:
     """Prefix-match automaton of a digit pattern, completion excluded."""
+    if not MIN_WINDOW <= t <= MAX_WINDOW:
+        raise ValueError(f"window size must be in [{MIN_WINDOW}, {MAX_WINDOW}], got {t}")
     if len(pattern) == 0:
         raise ValueError("empty pattern")
     if any(not 0 <= d < t for d in pattern):
@@ -239,45 +242,24 @@ _Vector = tuple[st.State, ...]
 
 
 @lru_cache(maxsize=None)
-def _start_vectors(t: int) -> dict[_Vector, int]:
-    """Path counts after the t-1 head digits, one per distinct start vector.
-
-    A vector holds the chain state under every head order pi; each state
-    is a function of the digits read, so vectors step deterministically.
-    """
-    heads = st.head_permutations(t)
-    counts: dict[_Vector, int] = {}
-    for prefix in itertools.product(range(t), repeat=t - 1):
-        vector = tuple(st.initial_state(prefix, t, pi) for pi in heads)
-        counts[vector] = counts.get(vector, 0) + 1
-    return counts
-
-
-@lru_cache(maxsize=None)
 def _next_vectors(vector: _Vector) -> tuple[_Vector, ...]:
     """The vector after each digit 0..t-1."""
     return tuple(tuple(st.successor(s, d) for s in vector) for d in range(vector[0].t))
-
-
-@lru_cache(maxsize=None)
-def _tail_weight(vector: _Vector) -> int:
-    """Distinct tails that close a word ending in this vector legally."""
-    tails: set[tuple[int, ...]] = set()
-    for state, pi in zip(vector, st.head_permutations(vector[0].t)):
-        tails |= st.achievable_tails(state, pi)
-    return len(tails)
 
 
 def count_by_automaton(t: int, n: int) -> CountReport:
     """Count legal words by path counting through the head-order automaton.
 
     Exact transfer-matrix count (Stanley, EC1 4.7) over the determinized
-    automaton whose vertex is the vector of head-conditioned chain states:
-    path counts from the t^(t-1) head prefixes, stepped through the n-2t+2
-    middle digits and weighted by each final vector's number of legal
-    tails.  Words shorter than 2t-2 have overlapping head and tail cells,
-    so they go to the ranking oracle, as in ``is_legal``.  For t <= 4 only;
-    at t = 5 the vector closure explodes.
+    automaton whose vertex is the vector of chain states under every head
+    order pi; each state is a function of the digits read, so vectors step
+    deterministically.  Path counts start from the vectors of the t^(t-1)
+    head prefixes (``states.initial_states_by_head``), step through the
+    n-2t+2 middle digits, and are weighted by each final vector's number of
+    legal tails: the union of its ``achievable_tails``.  Words shorter than
+    2t-2 have overlapping head and tail cells, so they go to the ranking
+    oracle, as in ``is_legal``.  For t <= 4 only; at t = 5 the vector
+    closure explodes.
     """
     if not 2 <= t <= 4:
         raise ValueError(f"the head-order automaton is kept enumerable for t in [2, 4], got {t}")
@@ -286,20 +268,28 @@ def count_by_automaton(t: int, n: int) -> CountReport:
     if n < 2 * t - 2:
         legal = count_by_rankings(t, n).legal_count
     else:
-        counts = _start_vectors(t)
+        counts: dict[_Vector, int] = {}
+        for prefix in itertools.product(range(t), repeat=t - 1):
+            vector = tuple(state for _, state in st.initial_states_by_head(prefix, t))
+            counts[vector] = counts.get(vector, 0) + 1
         for _ in range(n - 2 * t + 2):
             stepped: dict[_Vector, int] = {}
             for vector, count in counts.items():
                 for nxt in _next_vectors(vector):
                     stepped[nxt] = stepped.get(nxt, 0) + count
             counts = stepped
-        legal = sum(count * _tail_weight(vector) for vector, count in counts.items())
+        heads = st.head_permutations(t)
+        legal = 0
+        for vector, count in counts.items():
+            legal += count * len(set().union(*map(st.achievable_tails, vector, heads)))
     total = t**n
     return CountReport(t=t, n=n, legal_count=legal, total=total, density=legal / total)
 
 
 def auto_method(t: int, n: int) -> str:
     """Census engine for one length: automaton (t <= 4), legality (within the word budget), rankings."""
+    if not MIN_WINDOW <= t <= MAX_WINDOW:
+        raise ValueError(f"window size must be in [{MIN_WINDOW}, {MAX_WINDOW}], got {t}")
     if t <= 4:
         return "automaton"
     if t**n <= enumeration_budget(_DEFAULT_WORD_BUDGET):

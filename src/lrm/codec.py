@@ -31,8 +31,8 @@ class BaseWord:
 
     def __post_init__(self):
         size = factorial(self.t)
-        if len(self.symbols) < 1:
-            raise ValueError("empty base word")
+        if len(self.symbols) < max(self.t, 1):
+            raise ValueError(f"need at least t = {self.t} symbols, got {len(self.symbols)}")
         if min(self.symbols) < 1 or max(self.symbols) > size:
             bad = [s for s in self.symbols if not 1 <= s <= size]
             raise ValueError(f"symbols out of range 1..{size}: {bad}")
@@ -159,44 +159,30 @@ def realizable(base: BaseWord) -> tuple[bool, tuple[int, ...] | None]:
     return True, tuple(level)
 
 
-# Decoding for t = 3 ----------------------------------------------------------
-#
-# A digit in {0, 2} pins the parity class of its symbol: digit-0 symbols are
-# odd, digit-2 symbols are even.  The parity of a symbol plus the next digit
-# then determines the next symbol, so one anchored pass around the cycle
-# reconstructs the whole base word.
-
-_NEXT_SYMBOL = {
-    True: {0: 1, 1: 2, 2: 4},  # previous symbol odd
-    False: {0: 3, 1: 5, 2: 6},  # previous symbol even
-}
-_SEED_OPTIONS = {0: (1, 3), 2: (4, 6)}
-
-
 def decode3(word: Codeword) -> BaseWord | None:
-    """Unique realizable base word of a codeword with t = 3, if any."""
+    """Unique realizable base word of a codeword with t = 3, if any.
+
+    A digit in {0, 2} pins the parity class of its symbol: digit-0 symbols
+    are odd, digit-2 symbols are even.  The class of a symbol plus the next
+    digit fixes the next symbol (``after``), so one pass around the cycle
+    from such an anchor, seeded with any symbol of the anchor's digit,
+    reads the whole base word.  The candidate is the answer exactly when
+    the codeword is legal; the all-ones word, which has no anchor, never is.
+    """
     if word.t != 3:
         raise ValueError(f"decode3 handles t = 3 only, got t = {word.t}")
     g = word.digits
     n = len(g)
     if n < 3:
         raise ValueError(f"need at least 3 digits, got {n}")
-    anchor = next((i for i, d in enumerate(g) if d != 1), None)
-    if anchor is None:
-        return None  # the all-ones word has no realizable preimage
-    seed = _SEED_OPTIONS[g[anchor]]
-    odd = g[anchor] == 0
-    syms = [0] * n
-    for step in range(1, n + 1):
-        j = (anchor + step) % n
-        nxt = _NEXT_SYMBOL[odd][g[j]]
-        syms[j] = nxt
-        odd = nxt % 2 == 1
-    if syms[anchor] not in seed:
+    if not is_legal(word):
         return None
-    base = BaseWord(3, tuple(syms))
-    ok, _ = realizable(base)
-    return base if ok else None
+    anchor = next(i for i, d in enumerate(g) if d != 1)
+    table = symbol_table(3)
+    # symbols of windows anchor+1, ..., anchor+n (the anchor again), seed dropped
+    syms = _read_symbols(table, table.digit.index(g[anchor]), g[anchor + 1 :] + g[: anchor + 1])[1:]
+    split = n - 1 - anchor
+    return BaseWord(3, syms[split:] + syms[:split])
 
 
 # General decoding via the state chain ----------------------------------------
@@ -239,29 +225,15 @@ def ranking_words(t: int, n: int) -> tuple[set[tuple[int, ...]], set[tuple[int, 
 
     Every legal codeword arises from some ranking because realizability
     witnesses are integral, so this is the ground truth at small n.  Each
-    window is read by its pairwise comparisons, looked up as a symbol.
+    ranking is read by ``demodulate``; its codeword is the symbols' digits.
     """
-    table = symbol_table(t)
-    pairs = list(itertools.combinations(range(t), 2))
-    sig_to_symbol = {}
-    for sym, perm in enumerate(table.perms, start=1):
-        value = [0] * t
-        for rank, pos in enumerate(perm):
-            value[pos - 1] = t - rank
-        sig_to_symbol[tuple(value[a] < value[b] for a, b in pairs)] = sym
+    digit = symbol_table(t).digit
     codewords = set()
     basewords = set()
     for ranking in itertools.permutations(range(n)):
-        ext = ranking + ranking[: t - 1]
-        digits = []
-        symbols = []
-        for i in range(n):
-            w = ext[i : i + t]
-            symbols.append(sig_to_symbol[tuple(w[a] < w[b] for a, b in pairs)])
-            newest = w[-1]
-            digits.append(sum(1 for v in w[:-1] if v < newest))
-        codewords.add(tuple(digits))
-        basewords.add(tuple(symbols))
+        symbols = demodulate(ranking, t).symbols
+        basewords.add(symbols)
+        codewords.add(tuple(map(digit.__getitem__, symbols)))
     return codewords, basewords
 
 

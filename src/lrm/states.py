@@ -25,8 +25,7 @@ instead, and is the independent reference the rule is tested against.
 States here come in two flavours.  Conditioned on a head permutation pi
 the state sequence of a word is always well defined.  Unconditioned states
 (no pi) are only well defined when every head order yields the same
-tracked-cell order; ``initial_state`` and ``state_oracle`` raise otherwise,
-and ``initial_states`` returns every alternative.
+tracked-cell order; ``initial_state`` and ``state_oracle`` raise otherwise.
 """
 
 from __future__ import annotations
@@ -459,18 +458,14 @@ def initial_states_by_head(digits: tuple[int, ...], t: int) -> tuple[tuple[Perm,
     return tuple((pi, initial_state(digits, t, pi)) for pi in head_permutations(t))
 
 
-def initial_states(digits: Sequence[int], t: int) -> frozenset[State]:
-    """Every initial state a digit prefix admits, one per tracked order."""
-    return frozenset(tuple.__new__(State, item) for item in _seed_groups(tuple(digits), t, None).items())
-
-
 @lru_cache(maxsize=None)
 def reachable_states(t: int) -> frozenset[State]:
     """Closure of every initial state under the successor rule.
 
-    The seeds are ``initial_states`` of every t-1 digit prefix, from one
-    prefix-trie walk per head order.  Each state is dilated once for all t
-    digits by the uncached rule, so the walk leaves no ``successor`` entries.
+    The seeds are the initial states of every t-1 digit prefix, one per
+    tracked order, from one prefix-trie walk per head order.  Each state is
+    dilated once for all t digits by the uncached rule, so the walk leaves
+    no ``successor`` entries.
     """
     if not 2 <= t <= 5:
         raise ValueError(f"state closures are kept enumerable for t in [2, 5], got {t}")
@@ -637,7 +632,6 @@ __all__ = [
     "find_completing_pattern",
     "head_permutations",
     "initial_state",
-    "initial_states",
     "initial_states_by_head",
     "is_complete",
     "monotone_tuples",

@@ -223,6 +223,19 @@ def test_domain_errors_exit_2(capsys):
     for argv in (("--t", "1", "--pattern", "0,0"), ("--t", "1", "--max-len", "3"), ("--t", "0", "--max-len", "3")):
         code, payload = run_json(capsys, "pattern", *argv)
         assert code == 2 and payload["ok"] is False and "t in [2, 5]" in payload["error"]
+    # a base word needs one symbol per cell and at least t cells, as a profile does
+    for argv in (("encode", "--t", "3", "--word", "1"), ("check", "--t", "3", "--base-word", "2")):
+        code, payload = run_json(capsys, *argv)
+        assert code == 2 and payload["ok"] is False and "need at least t = 3 symbols" in payload["error"]
+    for argv in (
+        ("spectral", "--t", "1", "--pattern", "0"),
+        ("spectral", "--t", "9", "--pattern", "0,1"),
+        ("spectral", "--t", "0", "--pattern", "0"),
+        ("count", "--t", "1", "--n", "3"),
+        ("count", "--t", "7", "--range", "7:8"),
+    ):
+        code, payload = run_json(capsys, *argv)
+        assert code == 2 and payload["ok"] is False and "window size must be in [2, 6]" in payload["error"]
 
 
 def test_usage_errors_exit_2():

@@ -106,6 +106,10 @@ def _consistent_one_by_one(base):
 def test_window_consistent_matches_shared_cell_orders(t, top):
     for n in range(1, top + 1):
         for symbols in itertools.product(range(1, symbol_table(t).size + 1), repeat=n):
+            if n < t:
+                with pytest.raises(ValueError, match=f"need at least t = {t} symbols"):
+                    BaseWord(t, symbols)
+                continue
             base = BaseWord(t, symbols)
             assert window_consistent(base) == _consistent_one_by_one(base)
 
@@ -139,10 +143,12 @@ def test_realizable_matches_ranking_oracle_t4():
 
 
 def test_realizable_rejects_words_shorter_than_a_window():
-    # a window that wraps onto its own cells orders a cell against itself
+    # a window that wraps onto its own cells would order a cell against itself,
+    # so such a base word is an input error, as a profile of fewer than t cells is
     for t, n in [(2, 1), (3, 1), (3, 2), (4, 3)]:
         for symbols in itertools.product(range(1, symbol_table(t).size + 1), repeat=n):
-            assert realizable(BaseWord(t, symbols)) == (False, None)
+            with pytest.raises(ValueError, match=f"need at least t = {t} symbols"):
+                BaseWord(t, symbols)
 
 
 def test_realizable_verdicts():
@@ -175,6 +181,35 @@ def test_decode3_reference_words():
         assert decode3(Codeword(3, (1,) * n)) is None
 
 
+# Hand-written t = 3 transitions: the next symbol from the previous one's parity and the digit.
+_T3_NEXT = {True: {0: 1, 1: 2, 2: 4}, False: {0: 3, 1: 5, 2: 6}}
+_T3_SEEDS = {0: (1, 3), 2: (4, 6)}
+
+
+def _anchored_verdict(digits):
+    """Slow reference for ``decode3``: one parity pass from the first digit other than 1, then ``realizable``."""
+    n = len(digits)
+    anchor = next((i for i, d in enumerate(digits) if d != 1), None)
+    if anchor is None:
+        return None
+    odd = digits[anchor] == 0
+    syms = [0] * n
+    for step in range(1, n + 1):
+        j = (anchor + step) % n
+        syms[j] = _T3_NEXT[odd][digits[j]]
+        odd = syms[j] % 2 == 1
+    if syms[anchor] not in _T3_SEEDS[digits[anchor]]:
+        return None
+    candidate = BaseWord(3, tuple(syms))
+    return candidate if realizable(candidate)[0] else None
+
+
+def test_decode3_matches_anchored_verdict_exhaustively():
+    for n in range(3, 11):
+        for digits in itertools.product(range(3), repeat=n):
+            assert decode3(Codeword(3, digits)) == _anchored_verdict(digits)
+
+
 @given(profiles)
 @settings(max_examples=60)
 def test_decode3_inverts_encode(profile):
@@ -205,10 +240,10 @@ def test_decode_general_round_trip_containment_property(profile):
 
 
 def _preimages_by_ranking(t, n):
-    """Codeword -> base words of every ranking of n cells, by demodulate and encode."""
+    """Codeword -> base words of every ranking of n cells, each window ranked on its own, then encoded."""
     out = {}
     for ranking in itertools.permutations(range(n)):
-        base = demodulate(ranking, t)
+        base = BaseWord(t, _windows_one_by_one(ranking, t))
         out.setdefault(encode(base).digits, set()).add(base)
     return out
 
