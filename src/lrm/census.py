@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import factorial
@@ -231,6 +230,7 @@ def count_by_legality(t: int, n: int, jobs: int = 1) -> CountReport:
     if jobs == 1:
         legal = _legal_in_range(t, n, 0, total)
     else:
+        from concurrent.futures import ProcessPoolExecutor  # here, so `import lrm` skips multiprocessing
         step = -(-total // jobs)
         spans = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:

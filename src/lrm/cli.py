@@ -278,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add(
         "gray",
         _cmd_gray,
-        "exhaustive longest-cycle search",
+        "longest-cycle search, stopped at the 2n bound for w = 2 and n - 2",
         t=False,
         jobs_help="ignored: the search runs on one core",
     )

@@ -141,21 +141,25 @@ class GrayCycle:
 def longest_cycle(n: int, w: int, mode: str = "adjacent") -> tuple[int, GrayCycle | None]:
     """Length and witness of a maximum simple directed cycle of push steps.
 
-    Exhaustive backtracking over start words in lexicographic order,
-    visiting only words above the start so every cycle is met exactly once,
-    at its minimum word.  For n >= 3 it also drops every word, and every
-    start, with a rotation below the start: a cycle through it rotates to
-    one of the same length met from an earlier start (McKay's isomorph
-    rejection), which would have set any record first, so the witness is
-    unchanged.  Word sets are int bitmasks in vertex order.  The
-    room of a path ending at v holds the words off the path that v reaches
-    and that still reach the start; a closing path uses no others.  A branch
-    dies unless path plus room can hold a cycle of the least length that
-    beats the best, ``k * n``, with k words in each position-sum class mod
-    n (every step lowers the sum by 1 mod n, so every cycle length is a
-    multiple of n).  Only branches that cannot beat the best are cut, so
-    the witness is the cycle a plain backtracking search finds first.  Mode
-    "any" has no cycle: every step strictly lowers the one-position sum.
+    Backtracking over start words in lexicographic order, visiting only
+    words above the start so every cycle is met exactly once, at its
+    minimum word.  For n >= 3 it also drops every word, and every start,
+    with a rotation below the start: a cycle through it rotates to one of
+    the same length met from an earlier start (McKay's isomorph rejection),
+    which would have set any record first.  Word sets are int bitmasks in
+    vertex order.  The room of a path ending at v holds the words off the
+    path that v reaches and that still reach the start; a closing path uses
+    no others.  A branch dies unless path plus room can hold a cycle of the
+    least length that beats the best, ``k * n``, with k words in each
+    position-sum class mod n (every step lowers the sum by 1 mod n, so every
+    cycle length is a multiple of n).  It stops once the best cycle holds
+    every word, or 2n words when w is 2 or n - 2: the paper's last theorem
+    bounds weight two by 2n, and complementing every word and reversing the
+    cycle maps push steps to push steps, so weight n - w has the maximum of
+    weight w.  Only branches that cannot beat the best are cut and only a
+    longer cycle replaces it, so the witness is the one a plain search finds
+    first; the tests hold that search, without the stop, up to n = 10.
+    Mode "any" has no cycle: every step strictly lowers the one-position sum.
     """
     graph = GrayGraph.build(n, w, mode)
     budget = enumeration_budget(_DEFAULT_VERTEX_BUDGET)
@@ -171,6 +175,7 @@ def longest_cycle(n: int, w: int, mode: str = "adjacent") -> tuple[int, GrayCycl
     classes = [0] * n
     for i, x in enumerate(verts):
         classes[sum(p for p, ch in enumerate(x) if ch == "1") % n] |= 1 << i
+    bound = 2 * n if 2 in (w, n - w) else len(verts)
     best_len = 0
     best: tuple[int, ...] | None = None
     path: list[int] = []
@@ -187,7 +192,7 @@ def longest_cycle(n: int, w: int, mode: str = "adjacent") -> tuple[int, GrayCycl
             reach |= frontier
         return reach
 
-    def extend(u: int, allowed: int, taken: int) -> None:
+    def extend(u: int, allowed: int, taken: int) -> bool:
         nonlocal best_len, best
         for v in succ[u]:
             if not allowed >> v & 1:
@@ -196,14 +201,18 @@ def longest_cycle(n: int, w: int, mode: str = "adjacent") -> tuple[int, GrayCycl
             if len(path) >= 3 and into_start >> v & 1 and len(path) > best_len:
                 best_len = len(path)
                 best = tuple(path)
+                if best_len >= bound:
+                    return True
             k = best_len // n + 1
             if len(path) + allowed.bit_count() > k * n:  # room lies in allowed minus v
                 forward = closure(succ_mask[v], allowed & ~(1 << v), succ_mask)
                 room = closure(into_start & forward, forward, pred_mask)
                 on_path = taken | 1 << v
                 if all(((room | on_path) & c).bit_count() >= k for c in classes):  # k words per class
-                    extend(v, room, on_path)
+                    if extend(v, room, on_path):
+                        return True
             path.pop()
+        return False
 
     # least index among a word's rotations; n = 2 keeps the plain order (the wrap pair is no edge)
     floor = [min(index[x[r:] + x[:r]] for r in range(n if n > 2 else 1)) for x in verts]
@@ -215,7 +224,8 @@ def longest_cycle(n: int, w: int, mode: str = "adjacent") -> tuple[int, GrayCycl
             continue
         path[:] = [si]
         into_start = pred_mask[si]
-        extend(si, canon ^ 1 << si, 1 << si)
+        if extend(si, canon ^ 1 << si, 1 << si):
+            break
     return best_len, (GrayCycle(words=tuple(verts[i] for i in best)) if best is not None else None)
 
 

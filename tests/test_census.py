@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -226,6 +228,14 @@ def test_parallel_count_matches_serial():
     serial = count_by_legality(3, 6, jobs=1).legal_count
     parallel = count_by_legality(3, 6, jobs=2).legal_count
     assert serial == parallel == 426
+
+
+def test_import_loads_no_process_pool():
+    # only a count with jobs > 1 imports the pool, so a fresh interpreter must not hold it
+    script = "import sys, lrm, lrm.cli; print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 # Rankings are the ground truth up to n = 8; above that the per-word

@@ -211,7 +211,9 @@ def _reference_longest_cycle(n, w, mode):
     return best_len, best
 
 
-DIFFERENTIAL_CASES = [(n, w) for n in range(2, 9) for w in range(1, n) if (n, w) != (8, 4)] + [(9, 2)]
+# (10, 2) and (10, 8) keep the reference, which has no 2n stop, proving that bound and its witness
+DIFFERENTIAL_CASES = [(n, w) for n in range(2, 9) for w in range(1, n) if (n, w) != (8, 4)]
+DIFFERENTIAL_CASES += [(9, 2), (10, 2), (10, 8)]
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -230,6 +232,20 @@ def test_longest_cycle_former_hangs(n, w, expected):
     length, cycle = longest_cycle(n, w)
     assert length == expected
     assert validate_cycle(cycle.words, n, w).ok
+
+
+@pytest.mark.parametrize("n", range(12, 17))
+def test_longest_cycle_reaches_2n_beyond_the_reference(n):
+    """Weights 2 and n - 2 stop at the paper's 2n bound, and complementing and
+    reversing the weight n - 2 witness gives a weight-two cycle."""
+    cycles = {}
+    for w in (2, n - 2):
+        length, cycle = longest_cycle(n, w)
+        assert length == 2 * n
+        assert validate_cycle(cycle.words, n, w).ok
+        cycles[w] = cycle.words
+    flipped = [word.translate(str.maketrans("01", "10")) for word in reversed(cycles[n - 2])]
+    assert validate_cycle(flipped, n, 2).ok
 
 
 # witnesses of the search before the rotation cut, which must not change them
