@@ -5,7 +5,6 @@ the tail table, and the forbidden-factor automaton with its growth rate.
 """
 
 from lrm.census import factor_automaton, spectral_radius
-from lrm.codec import _NEXT_SYMBOL
 from lrm.permutations import symbol_table, window_digit
 from lrm.states import complete_states, head_permutations, successor, tail_table
 
@@ -18,8 +17,8 @@ def main() -> None:
         print(f"  s{symbol} = [{','.join(map(str, perm))}]   digit {window_digit(perm)}")
 
     print("\nencoding key (previous parity class -> digit -> symbol):")
-    for parity, row in (("odd", _NEXT_SYMBOL[True]), ("even", _NEXT_SYMBOL[False])):
-        cells = "  ".join(f"digit {d}: s{s}" for d, s in sorted(row.items()))
+    for parity, previous in (("odd", 1), ("even", 2)):  # the next symbol depends only on this class
+        cells = "  ".join(f"digit {d}: s{s}" for d, s in enumerate(table.after[previous]))
         print(f"  previous {parity}:  {cells}")
 
     states = sorted(complete_states(3), key=lambda s: s.perm)

@@ -1,18 +1,19 @@
 """Exact enumeration of legal words, factor avoidance, and growth rates.
 
 The density argument runs on three legs: an exact count of legal words (by
-path counting through the determinized head-order chain automaton, with
-ranking enumeration and the per-word legality test kept as oracles), an
-exact count of digit words containing a forcing factor (via the
-factor-avoidance automaton), and that automaton's dominant eigenvalue,
-which bounds how fast factor-avoiding words grow.  Counts stay in exact
-integers; floats appear only at the reporting boundary.
+path counting through the chain states of one head order at a time, summed
+over the head orders, with ranking enumeration and the per-word legality
+test kept as oracles), an exact count of digit words containing a forcing
+factor (via the factor-avoidance automaton), and that automaton's dominant
+eigenvalue, which bounds how fast factor-avoiding words grow.  Counts stay
+in exact integers; floats appear only at the reporting boundary.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import factorial
@@ -238,28 +239,17 @@ def count_by_legality(t: int, n: int, jobs: int = 1) -> CountReport:
     return CountReport(t=t, n=n, legal_count=legal, total=total, density=legal / total)
 
 
-_Vector = tuple[st.State, ...]
-
-
-@lru_cache(maxsize=None)
-def _next_vectors(vector: _Vector) -> tuple[_Vector, ...]:
-    """The vector after each digit 0..t-1."""
-    return tuple(tuple(st.successor(s, d) for s in vector) for d in range(vector[0].t))
-
-
 def count_by_automaton(t: int, n: int) -> CountReport:
-    """Count legal words by path counting through the head-order automaton.
+    """Count legal words by path counting through the chain states of each head order.
 
-    Exact transfer-matrix count (Stanley, EC1 4.7) over the determinized
-    automaton whose vertex is the vector of chain states under every head
-    order pi; each state is a function of the digits read, so vectors step
-    deterministically.  Path counts start from the vectors of the t^(t-1)
-    head prefixes (``states.initial_states_by_head``), step through the
-    n-2t+2 middle digits, and are weighted by each final vector's number of
-    legal tails: the union of its ``achievable_tails``.  Words shorter than
-    2t-2 have overlapping head and tail cells, so they go to the ranking
-    oracle, as in ``is_legal``.  For t <= 4 only; at t = 5 the vector
-    closure explodes.
+    Exact transfer-matrix count (Stanley, EC1 4.7).  Under a head order pi
+    the chain state is a function of the digits read, so per pi the t^(t-1)
+    head prefixes' states step through the n-2t+2 middle digits, and each
+    final state counts its legal tails (``achievable_tails``).  For t <= 4
+    a legal word is legal under exactly one head order (certified in
+    tests/test_census.py), so the census is the sum over pi; t = 5 is not
+    certified.  Words shorter than 2t-2 go to the ranking oracle, as in
+    ``is_legal``.
     """
     if not 2 <= t <= 4:
         raise ValueError(f"the head-order automaton is kept enumerable for t in [2, 4], got {t}")
@@ -268,20 +258,19 @@ def count_by_automaton(t: int, n: int) -> CountReport:
     if n < 2 * t - 2:
         legal = count_by_rankings(t, n).legal_count
     else:
-        counts: dict[_Vector, int] = {}
-        for prefix in itertools.product(range(t), repeat=t - 1):
-            vector = tuple(state for _, state in st.initial_states_by_head(prefix, t))
-            counts[vector] = counts.get(vector, 0) + 1
-        for _ in range(n - 2 * t + 2):
-            stepped: dict[_Vector, int] = {}
-            for vector, count in counts.items():
-                for nxt in _next_vectors(vector):
-                    stepped[nxt] = stepped.get(nxt, 0) + count
-            counts = stepped
-        heads = st.head_permutations(t)
         legal = 0
-        for vector, count in counts.items():
-            legal += count * len(set().union(*map(st.achievable_tails, vector, heads)))
+        for pi in st.head_permutations(t):
+            counts = Counter(st.initial_state(prefix, t, pi) for prefix in itertools.product(range(t), repeat=t - 1))
+            rows: dict[st.State, tuple[st.State, ...]] = {}  # successor row per state, for this call only
+            for _ in range(n - 2 * t + 2):
+                stepped: dict[st.State, int] = {}
+                for state, count in counts.items():
+                    if state not in rows:
+                        rows[state] = tuple(st.successor(state, d) for d in range(t))
+                    for nxt in rows[state]:
+                        stepped[nxt] = stepped.get(nxt, 0) + count
+                counts = stepped
+            legal += sum(count * len(st.achievable_tails(state, pi)) for state, count in counts.items())
     total = t**n
     return CountReport(t=t, n=n, legal_count=legal, total=total, density=legal / total)
 

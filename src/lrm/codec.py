@@ -207,7 +207,9 @@ def decode_general(word: Codeword) -> set[BaseWord]:
 
     Under each head order pi that ``_legal_heads`` keeps, the digits alone
     fix every window, the t-1 cycle-closing ones included, so each kept pi
-    gives one base word: at most (t-1)! of them.  The first window is pi
+    gives one base word.  At most one base word for t <= 4 (certified by
+    the head-order uniqueness test in tests/test_census.py); t = 5, 6 not
+    certified, where the bound is (t-1)!.  The first window is pi
     with the newest cell slotted in; each later one is ``after`` of the one
     before at its digit.
     """

@@ -25,6 +25,7 @@ binary word per line in cyclic order.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -161,10 +162,10 @@ def longest_cycle(n: int, w: int, mode: str = "adjacent") -> tuple[int, GrayCycl
     first; the tests hold that search, without the stop, up to n = 10.
     Mode "any" has no cycle: every step strictly lowers the one-position sum.
     """
-    graph = GrayGraph.build(n, w, mode)
     budget = enumeration_budget(_DEFAULT_VERTEX_BUDGET)
-    if len(graph.vertices) > budget:
-        raise ValueError(f"{len(graph.vertices)} vertices exceed the search budget {budget}")
+    if 0 <= w <= n and math.comb(n, w) > budget:  # before listing C(n, w) words
+        raise ValueError(f"{math.comb(n, w)} vertices exceed the search budget {budget}")
+    graph = GrayGraph.build(n, w, mode)
     if mode == "any":
         return 0, None
     verts = graph.vertices

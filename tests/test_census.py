@@ -4,9 +4,11 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
+from lrm import states as st
 from lrm.census import (
     CountReport,
     FactorAutomaton,
@@ -271,3 +273,71 @@ def test_automaton_guards():
         count_by_automaton(5, 10)
     with pytest.raises(ValueError):
         count_by_automaton(3, 2)
+
+
+# The slow reference: the determinized automaton whose vertex is the vector
+# of chain states under every head order, with a word's tails the union of
+# the per-order tail sets.  It needs no uniqueness of the head order.
+
+
+@lru_cache(maxsize=None)
+def _next_vectors(vector):
+    """The vector after each digit 0..t-1."""
+    return tuple(tuple(st.successor(s, d) for s in vector) for d in range(vector[0].t))
+
+
+def _start_vectors(t):
+    for prefix in itertools.product(range(t), repeat=t - 1):
+        yield tuple(s for _, s in st.initial_states_by_head(prefix, t))
+
+
+def _vector_count(t, n):
+    counts = {}
+    for vector in _start_vectors(t):
+        counts[vector] = counts.get(vector, 0) + 1
+    for _ in range(n - 2 * t + 2):
+        stepped = {}
+        for vector, count in counts.items():
+            for nxt in _next_vectors(vector):
+                stepped[nxt] = stepped.get(nxt, 0) + count
+        counts = stepped
+    heads = st.head_permutations(t)
+    return sum(count * len(set().union(*map(st.achievable_tails, vector, heads))) for vector, count in counts.items())
+
+
+@pytest.mark.parametrize("t, size", [(2, 3), (3, 50), (4, 2874)])
+def test_head_order_is_unique_on_every_reachable_vector(t, size):
+    """Certificate that count_by_automaton may sum per-order counts: in every
+    reachable vector the head orders' tail sets are pairwise disjoint, so no
+    word of n >= 2t-2 digits is legal under two head orders."""
+    heads = st.head_permutations(t)
+    seen = set(_start_vectors(t))
+    frontier = list(seen)
+    while frontier:
+        nxt = {v for vector in frontier for v in _next_vectors(vector)} - seen
+        seen |= nxt
+        frontier = list(nxt)
+    assert len(seen) == size
+    for vector in seen:
+        tails = [st.achievable_tails(s, pi) for s, pi in zip(vector, heads)]
+        assert sum(map(len, tails)) == len(set().union(*tails)), vector
+
+
+@pytest.mark.parametrize("t, n_max", [(2, 40), (3, 60), (4, 24)])
+def test_automaton_matches_vector_automaton(t, n_max):
+    for n in range(2 * t - 2, n_max + 1):
+        assert count_by_automaton(t, n).legal_count == _vector_count(t, n), (t, n)
+
+
+def _lucas_3(n):
+    """L_0 = 2, L_1 = 1, L_n = L_(n-1) + 3 L_(n-2)."""
+    a, b = 2, 1
+    for _ in range(n):
+        a, b = b, b + 3 * a
+    return a
+
+
+def test_automaton_t3_closed_form():
+    for n in list(range(6, 120)) + [200, 1000]:
+        expected = 3**n - 2 * _lucas_3(n) + 2 + 3 * (-1) ** n
+        assert count_by_automaton(3, n).legal_count == expected, n

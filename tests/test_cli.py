@@ -275,3 +275,9 @@ def test_readme_commands_run(capsys):
     # after a deliberate change: python3 scripts/readme_commands.py > tests/readme_stdout.txt
     script.main()
     assert capsys.readouterr().out == (TESTS / "readme_stdout.txt").read_text(encoding="utf-8")
+
+
+def test_reproduce_tables_output(capsys):
+    # the t = 3 tables, byte for byte as the script printed them when it last ran
+    _load_script("reproduce_tables").main()
+    assert capsys.readouterr().out == (TESTS / "reproduce_tables_stdout.txt").read_text(encoding="utf-8")

@@ -84,6 +84,15 @@ def test_longest_cycle_budget():
         longest_cycle(17, 2)
 
 
+def test_longest_cycle_budget_precedes_the_graph(monkeypatch):
+    def build(*args):
+        raise AssertionError("graph built before the budget check")
+
+    monkeypatch.setattr(GrayGraph, "build", build)
+    with pytest.raises(ValueError, match="137846528820 vertices exceed the search budget 120"):
+        longest_cycle(40, 20)
+
+
 def test_validate_cycle_reference_sequences():
     assert validate_cycle(["011", "101", "110"], 3, 2).ok
     duplicated = validate_cycle(["011", "101", "011"], 3, 2)
